@@ -34,13 +34,15 @@ index calculus from the orbit data, never trusted from construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .covers import BranchProfile
-from .errors import ConfigurationError, InternalError, NoTwinError
+from .covers import BranchProfile, _fiber_partitions
+from .errors import ConfigurationError, ConsistencyError, NoTwinError
 from .indexcalc import (PunctureProfile, fredholm_index_from_cz, normal_index,
                         obstruction_rank, regularity_transfer)
 from .model import (BASE_INDEX, BASE_MAX, BASE_MIN, BASE_SADDLE, FLOW_LEFT,
@@ -171,26 +173,6 @@ def twin(cfg: ModelConfig, b: Building) -> Building:
 # component menu
 
 
-def _cover_partitions(degree: int):
-    if degree == 1:
-        yield ((1,), (1,))
-        return
-    parts = []
-
-    def partitions(n, largest):
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(n, largest), 0, -1):
-            for rest in partitions(n - first, first):
-                yield (first,) + rest
-
-    for up in partitions(degree, degree):
-        for down in partitions(degree, degree):
-            parts.append((up, down))
-    yield from parts
-
-
 def _realizable_cover(degree: int, up: Tuple[int, ...], down: Tuple[int, ...],
                       genus_cap: int) -> List[int]:
     """Genera of connected covers of an orbit cylinder with these ends."""
@@ -276,29 +258,30 @@ def _right_symplectization(cfg: ModelConfig) -> List[Component]:
             else:
                 q_up = q_down = base[1]
             for degree in range(1, cfg.cover_threshold + 1):
-                for up, down in set(_cover_partitions(degree)):
-                  for genus in _realizable_cover(degree, up, down,
-                                                 cfg.max_genus_component):
-                    branched = (len(up) + len(down) != 2 * degree
-                                or genus > 0)
-                    if base[0] == "orbit" and branched \
-                            and not cfg.allow_branched_trivial_covers:
-                        continue
-                    is_trivial_shape = (base[0] == "orbit"
-                                        and leaf.kind == "cyl"
-                                        and up == (degree,)
-                                        and down == (degree,))
-                    if base[0] == "orbit" and leaf.kind == "cyl" \
-                            and not branched and not is_trivial_shape:
-                        continue   # disconnected unbranched orbit cover
-                    pos = tuple(sorted(OrbitType(up_sigma, q_up, k)
-                                       for k in up))
-                    neg = tuple(sorted(OrbitType(down_sigma, q_down, k)
-                                       for k in down))
-                    out.append(Component(
-                        leaf=leaf, genus=genus, pos=pos, neg=neg,
-                        trivial=is_trivial_shape,
-                        cover_base=tuple(base), degree=degree))
+                parts = _fiber_partitions(degree)
+                for up, down in itertools.product(parts, repeat=2):
+                    for genus in _realizable_cover(degree, up, down,
+                                                   cfg.max_genus_component):
+                        branched = (len(up) + len(down) != 2 * degree
+                                    or genus > 0)
+                        if base[0] == "orbit" and branched \
+                                and not cfg.allow_branched_trivial_covers:
+                            continue
+                        is_trivial_shape = (base[0] == "orbit"
+                                            and leaf.kind == "cyl"
+                                            and up == (degree,)
+                                            and down == (degree,))
+                        if base[0] == "orbit" and leaf.kind == "cyl" \
+                                and not branched and not is_trivial_shape:
+                            continue   # disconnected unbranched orbit cover
+                        pos = tuple(sorted(OrbitType(up_sigma, q_up, k)
+                                           for k in up))
+                        neg = tuple(sorted(OrbitType(down_sigma, q_down, k)
+                                           for k in down))
+                        out.append(Component(
+                            leaf=leaf, genus=genus, pos=pos, neg=neg,
+                            trivial=is_trivial_shape,
+                            cover_base=tuple(base), degree=degree))
     return out
 
 
@@ -391,23 +374,27 @@ def _margin_matrices(rows: Sequence[int], cols: Sequence[int]):
             yield (row,) + tail
 
 
-def _level_matchings(lower: Sequence[Component], upper: Sequence[Component],
+def _level_matchings(lower_av: Sequence[Dict[OrbitType, int]],
+                     upper_need: Sequence[Dict[OrbitType, int]],
                      level_idx: int):
-    """All matchings between lower positives and upper negatives."""
-    lower_av = [_multiset(c.pos) for c in lower]
-    upper_need = [_multiset(c.neg) for c in upper]
-    types = sorted({t for ms in lower_av + upper_need for t, _ in ms})
+    """All matchings between lower positives and upper negatives.
+
+    ``lower_av`` holds the positive-end counts of the lower components,
+    ``upper_need`` the negative-end counts of the upper ones.
+    """
+    types = sorted({t for counts in (*lower_av, *upper_need)
+                    for t in counts})
     per_type_choices = []
     for t in types:
-        rows = [dict(ms).get(t, 0) for ms in lower_av]
-        cols = [dict(ms).get(t, 0) for ms in upper_need]
+        rows = [counts.get(t, 0) for counts in lower_av]
+        cols = [counts.get(t, 0) for counts in upper_need]
         if sum(rows) != sum(cols):
             return
         choices = []
         for matrix in _margin_matrices(rows, cols):
             edges = tuple((level_idx, i, j, t, matrix[i][j])
-                          for i in range(len(lower))
-                          for j in range(len(upper)) if matrix[i][j])
+                          for i in range(len(lower_av))
+                          for j in range(len(upper_need)) if matrix[i][j])
             choices.append(edges)
         per_type_choices.append(choices)
     for combo in itertools.product(*per_type_choices):
@@ -464,44 +451,66 @@ def _flow_attach_ok(cfg: ModelConfig, upper: Component) -> bool:
 
 def enumerate_buildings(cfg: ModelConfig, genus: int, ends: int
                         ) -> List[Building]:
-    """All index-one configurations with the given genus and end count."""
+    """All index-one configurations with the given genus and end count.
+
+    One search per configuration serves every case: the first call for
+    ``cfg`` runs it and buckets its results by (genus, ends), later
+    calls read their bucket.  Each call returns a fresh list.
+    """
     if genus + ends > 2:
         raise ConfigurationError("enumeration covers genus + ends <= 2")
-    menu = component_menu(cfg)
-    bottoms = [c for c in menu if not c.neg]
-    uppers = [c for c in menu if c.neg and c.leaf.kind != "page"
-              and _flow_attach_ok(cfg, c)]
-    results: Dict[Tuple, Building] = {}
+    return list(_search(cfg).get((genus, ends), ()))
 
-    def emit(levels, edges):
-        b = Building(levels=tuple(tuple(lv) for lv in levels),
-                     edges=tuple(edges))
-        if b.total_index != 1:
+
+@functools.lru_cache(maxsize=8)
+def _search(cfg: ModelConfig) -> Dict[Tuple[int, int], Tuple[Building, ...]]:
+    """Every index-one configuration with genus + ends <= 2, by case.
+
+    Components are handled by their position in the sorted menu, so
+    sorting positions sorts components; their end counts, index and
+    positive action are computed once here.
+    """
+    menu = component_menu(cfg)
+    pos_counts = [dict(_multiset(c.pos)) for c in menu]
+    neg_counts = [dict(_multiset(c.neg)) for c in menu]
+    index = [c.index_ambient for c in menu]
+    action = [sum((o.action(cfg) for o in c.pos), Fraction(0)) for c in menu]
+    # a trivial cylinder cannot sit at the bottom
+    bottoms = [i for i, c in enumerate(menu) if not c.neg and not c.trivial]
+    # end type -> upper components with a negative end of that type
+    covering: Dict[OrbitType, List[int]] = {}
+    for i, c in enumerate(menu):
+        if c.neg and c.leaf.kind != "page" and _flow_attach_ok(cfg, c):
+            for t in neg_counts[i]:
+                covering.setdefault(t, []).append(i)
+    results: Dict[Tuple[int, int], Dict[Tuple, Building]] = {}
+
+    def emit(levels, edges, total_index):
+        if total_index != 1:
             return
-        if b.positive_end_count != ends:
+        ends = sum(len(menu[i].pos) for i in levels[-1])
+        if ends > 2:
+            return               # a connected configuration has genus >= 0
+        if not _connected(levels, edges):
             return
-        if not _connected(b.levels, b.edges):
+        genus = (sum(menu[i].genus for lv in levels for i in lv)
+                 + sum(mult for *_ignored, mult in edges)
+                 - sum(len(lv) for lv in levels) + 1)
+        if genus + ends > 2:
             return
-        if b.arithmetic_genus != genus:
-            return
-        if sum((o.action(cfg) for o in b.top_ends), Fraction(0)) \
-                > cfg.action_threshold:
+        if sum(action[i] for i in levels[-1]) > cfg.action_threshold:
             return
         # stability: no level of trivial cylinders only
-        for level in b.levels:
-            if all(c.trivial for c in level):
-                return
+        if any(all(menu[i].trivial for i in lv) for lv in levels):
+            return
         # shapes are primitive in the covering multiplicities
-        covers = [o.cover for c in b.components for o in c.pos + c.neg]
-        if covers:
-            g = covers[0]
-            for c in covers[1:]:
-                while c:
-                    g, c = c, g % c
-            if g > 1:
-                return
+        if math.gcd(*(o.cover for lv in levels for i in lv
+                      for o in menu[i].pos + menu[i].neg)) > 1:
+            return
+        b = Building(levels=tuple(tuple(menu[i] for i in lv) for lv in levels),
+                     edges=tuple(edges))
         cb = _canonical(b)
-        results.setdefault(cb.key(), cb)
+        results.setdefault((genus, ends), {}).setdefault(cb.key(), cb)
 
     def level_choices(need: Dict[OrbitType, int], room: int):
         """Multisets of upper components consuming exactly ``need``.
@@ -510,57 +519,61 @@ def enumerate_buildings(cfg: ModelConfig, genus: int, ends: int
         search narrow; duplicate orderings collapse in the canonical
         form of the finished configuration.
         """
-        if all(v == 0 for v in need.values()):
+        if not any(need.values()):
             yield ()
             return
         if room == 0:
             return
         target = min(t for t, v in need.items() if v > 0)
-        for cand in uppers:
-            counts = _multiset(cand.neg)
-            if not any(t == target for t, _ in counts):
-                continue
-            if any(need.get(t, 0) < m for t, m in counts):
+        for cand in covering.get(target, ()):
+            counts = neg_counts[cand]
+            if any(need.get(t, 0) < m for t, m in counts.items()):
                 continue
             rest = dict(need)
-            for t, m in counts:
+            for t, m in counts.items():
                 rest[t] -= m
             for tail in level_choices(rest, room - 1):
                 yield (cand,) + tail
 
-    def extend(levels, edges, open_pos):
-        emit(levels, edges)
+    def extend(levels, edges, total_index):
+        emit(levels, edges, total_index)
         if len(levels) >= cfg.max_levels:
             return
         used = sum(len(lv) for lv in levels)
         room = min(cfg.max_components - used, cfg.max_components_per_level)
         if room <= 0:
             return
-        need = dict(_multiset(open_pos))
-        if not need:
-            return
+        lower = [pos_counts[i] for i in levels[-1]]
+        need: Dict[OrbitType, int] = {}
+        for counts in lower:
+            for t, m in counts.items():
+                need[t] = need.get(t, 0) + m
         for combo in level_choices(need, room):
             level = tuple(sorted(combo))
-            for match in _level_matchings(levels[-1], level,
-                                          len(levels) - 1):
-                new_open = list(itertools.chain.from_iterable(
-                    c.pos for c in level))
-                extend(levels + [level], edges + list(match), new_open)
+            upper = [neg_counts[j] for j in level]
+            for match in _level_matchings(lower, upper, len(levels) - 1):
+                extend(levels + [level], edges + list(match),
+                       total_index + sum(index[j] for j in level))
 
-    total_budget = cfg.action_threshold
+    def bottom_levels(start: int, size: int, budget: Fraction):
+        """Multisets of ``size`` bottoms from ``start`` on whose positive
+        action fits ``budget``; actions are positive, so a partial
+        multiset over budget is dropped with all its extensions."""
+        if size == 0:
+            yield ()
+            return
+        for k in range(start, len(bottoms)):
+            i = bottoms[k]
+            if action[i] <= budget:
+                for tail in bottom_levels(k, size - 1, budget - action[i]):
+                    yield (i,) + tail
+
     for size in range(1, cfg.max_components_per_level + 1):
-        for combo in itertools.combinations_with_replacement(bottoms, size):
-            opens = list(itertools.chain.from_iterable(c.pos for c in combo))
-            if sum((o.action(cfg) for o in opens), Fraction(0)) \
-                    > total_budget:
-                continue
-            if any(c.trivial for c in combo):
-                continue     # a trivial cylinder cannot sit at the bottom
-            level = tuple(sorted(combo))
-            extend([level], [], opens)
+        for level in bottom_levels(0, size, cfg.action_threshold):
+            extend([level], [], sum(index[i] for i in level))
 
-    ordered = sorted(results.values(), key=lambda b: _sort_key(b))
-    return ordered
+    return {case: tuple(sorted(found.values(), key=_sort_key))
+            for case, found in results.items()}
 
 
 def _sort_key(b: Building):
@@ -569,10 +582,6 @@ def _sort_key(b: Building):
 
 # ---------------------------------------------------------------------------
 # audits, classification, pairing
-
-
-def classify_case(b: Building) -> str:
-    return b.case_label()
 
 
 def check_constraints(cfg: ModelConfig, b: Building) -> Tuple[bool, str]:
@@ -633,7 +642,12 @@ def obstruction_data(b: Building) -> List[ObstructionAudit]:
             out.append(ObstructionAudit(c.label(), 0, ind_n, dim_ker, 0,
                                         True))
             continue
-        rank = obstruction_rank(0, ind_n, dim_ker)
+        try:
+            rank = obstruction_rank(0, ind_n, dim_ker)
+        except ConfigurationError as exc:
+            # the profile comes from the enumerator, not from the user
+            raise ConsistencyError("component %s: %s"
+                                   % (c.label(), exc)) from exc
         out.append(ObstructionAudit(c.label(), 0, ind_n, dim_ker, rank,
                                     rank == 0))
     return out
@@ -800,7 +814,6 @@ def model_count_table_entries(cfg: ModelConfig, sporadic_value: Fraction
     list keeps the cancelling entries explicit so their exact collapse
     is visible to consumers.
     """
-    cfg = cfg
     buildings = enumerate_buildings(cfg, 1, 1) + enumerate_buildings(
         cfg, 0, 2)
     rows: List[Dict] = []

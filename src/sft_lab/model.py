@@ -193,6 +193,8 @@ class ModelConfig:
             raise ConfigurationError("the base surface is hyperbolic")
         if self.action_threshold <= 0 or self.cover_threshold < 1:
             raise ConfigurationError("thresholds must be positive")
+        if self.left_action_unit <= 0 or self.right_action_unit <= 0:
+            raise ConfigurationError("action units must be positive")
 
     @property
     def genus_positive_piece(self) -> int:

@@ -28,6 +28,7 @@ from sft_lab.cobracket import (ClassRegistry, StringTopology, TensorSum,
                                sporadic_count_from_coefficients)
 from sft_lab.covers import (double_point_budget, enumerate_branch_profiles,
                             super_rigidity_verdict, total_branching)
+from sft_lab import enumerator
 from sft_lab.enumerator import (enumerate_buildings, is_sporadic,
                                 model_count_table_entries, obstruction_data,
                                 pair_cancellation, sporadic_signature)
@@ -49,6 +50,7 @@ def report(line):
 @pytest.fixture(scope="session")
 def classification():
     cfg = paper_model()
+    enumerator._search.cache_clear()     # time the search, not the memo
     t0 = time.monotonic()
     runs = {(0, 1): enumerate_buildings(cfg, 0, 1),
             (0, 2): enumerate_buildings(cfg, 0, 2),

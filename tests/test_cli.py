@@ -25,6 +25,16 @@ def write_counts(path, rows, generators=None):
     return str(path)
 
 
+class TestEnumerateCommand:
+    def test_negative_obstruction_rank_exits_three(self, capsys):
+        # known defect: the (1,1) document hits a negative rank; the
+        # inputs come from the enumerator, so it is not invalid input
+        code = main(["enumerate", "--genus", "1", "--ends", "1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "consistency failure: component" in err
+
+
 class TestIndexCommand:
     def test_kernel_bound(self, capsys):
         code, out = run(capsys, "index", "--kernel-bound", "0", "0")

@@ -1,15 +1,17 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from sft_lab import enumerator
 from sft_lab.enumerator import (Building, CASE_CYLINDER, CASE_TORUS,
                                 check_constraints, classification_document,
-                                classify_case, component_menu,
-                                enumerate_buildings, expand_flavors,
-                                is_sporadic, model_count_table_entries,
-                                obstruction_data, pair_cancellation,
-                                sporadic_signature, twin)
+                                component_menu, enumerate_buildings,
+                                expand_flavors, is_sporadic,
+                                model_count_table_entries, obstruction_data,
+                                pair_cancellation, sporadic_signature, twin)
 from sft_lab.errors import ConfigurationError, NoTwinError
+from sft_lab.jsonio import canonical_dumps
 from sft_lab.model import paper_model
 
 CFG = paper_model()
@@ -37,8 +39,12 @@ class TestCounts:
         assert len(CASE1) + len(CASE2) + len(CASE3) == 35
 
     def test_case_labels(self):
-        assert all(classify_case(b) == CASE_CYLINDER for b in CASE2)
-        assert all(classify_case(b) == CASE_TORUS for b in CASE3)
+        assert all(b.case_label() == CASE_CYLINDER for b in CASE2)
+        assert all(b.case_label() == CASE_TORUS for b in CASE3)
+
+    def test_genus_plus_ends_above_two_rejected(self):
+        with pytest.raises(ConfigurationError):
+            enumerate_buildings(CFG, 1, 2)
 
 
 class TestAudits:
@@ -143,10 +149,67 @@ class TestSporadicSignature:
         assert any(is_sporadic(CFG, b) for b in CASE3)
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _keys_digest(buildings) -> str:
+    return _sha256(repr([b.key() for b in buildings]))
+
+
 class TestDeterminism:
     def test_two_runs_identical(self):
+        enumerator._search.cache_clear()     # search again, not the memo
         again = enumerate_buildings(CFG, 0, 2)
         assert [b.key() for b in again] == [b.key() for b in CASE2]
+
+    def test_returned_list_is_a_copy(self):
+        first = enumerate_buildings(CFG, 0, 2)
+        first.clear()
+        first.append(sporadic_signature(CFG))
+        assert [b.key() for b in enumerate_buildings(CFG, 0, 2)] \
+            == [b.key() for b in CASE2]
+
+    def test_documents_byte_identical_to_reference(self):
+        # reference digests of the per-case search this one replaced
+        assert _sha256(canonical_dumps(classification_document(
+            CFG, 0, 1))) == ("ea07ab0d1a0e07708feea44d0212f864"
+                             "937237ce79fece43a6a8a55eec709991")
+        assert _sha256(canonical_dumps(classification_document(
+            CFG, 0, 2))) == ("ba0a23be9b0c2b89f6939df36ddcd508"
+                             "87543c86c804ecf9d33a93a16085dd27")
+        assert _keys_digest(CASE3) == ("4c06f98747941c7f4d3e5c767a14a6b3"
+                                       "cc81eee1a283bfb4ac5c328fda909725")
+
+    @pytest.mark.parametrize("overrides, expected", [
+        (dict(max_levels=2), [
+            (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5"
+                "ed12ab4d8e11ba873c2f11161202b945"),
+            (6, "4a45031436f56ea8a7c0fa403be1b36f"
+                "f887c16d6b56b3db74bb5301abf435d1"),
+            (20, "e20eac0c579cdc8f261690d450e2259d"
+                 "0d79a119fd87e059ef148d987a36b69e")]),
+        (dict(cover_threshold=1), [
+            (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5"
+                "ed12ab4d8e11ba873c2f11161202b945"),
+            (6, "4a45031436f56ea8a7c0fa403be1b36f"
+                "f887c16d6b56b3db74bb5301abf435d1"),
+            (15, "da1312013816fa08f172b545a3d975a3"
+                 "ed929c5d8cfe34664a0bebe73873bc5a")]),
+        (dict(flow_cover_attach_even_only=False, max_levels=2), [
+            (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5"
+                "ed12ab4d8e11ba873c2f11161202b945"),
+            (7, "d868a5a8b10081d0288d28656ba8d00b"
+                "d1bb639690107074dc56b65b36d351f3"),
+            (24, "7beb197b3e303160475102f02fb5bf3b"
+                 "0f25d55a38c894d7d63fcbff9c0e0458")]),
+    ])
+    def test_other_configs_match_reference(self, overrides, expected):
+        # counts and key digests of the per-case search, case by case
+        cfg = paper_model(**overrides)
+        got = [enumerate_buildings(cfg, g, r)
+               for g, r in ((0, 1), (0, 2), (1, 1))]
+        assert [(len(bs), _keys_digest(bs)) for bs in got] == expected
 
     def test_document_stable(self):
         doc1 = classification_document(CFG, 0, 2)
@@ -164,6 +227,11 @@ class TestMenuFacts:
     def test_no_crossing_components(self):
         for comp in component_menu(CFG):
             assert len({o.side for o in comp.pos + comp.neg}) == 1
+
+    def test_action_units_must_be_positive(self):
+        # bottom levels are pruned on partial action sums
+        with pytest.raises(ConfigurationError):
+            paper_model(right_action_unit=Fraction(0))
 
     def test_right_symplectization_components_are_covers(self):
         for comp in component_menu(CFG):
