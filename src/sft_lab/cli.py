@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -51,13 +52,21 @@ def _load_model(path: Optional[str]) -> ModelConfig:
     raw = read_document(path)
     if not isinstance(raw, dict):
         raise ValidationError("model configuration must be an object")
+    # a field's default fixes its type; bool is an int subclass in
+    # Python, so int and bool fields compare types exactly
+    kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
     kwargs = {}
     for key, value in raw.items():
-        if key in ("left_action_unit", "right_action_unit",
-                   "action_threshold"):
-            kwargs[key] = str_to_fraction(value)
-        else:
-            kwargs[key] = value
+        kind = kinds.get(key)
+        if kind is Fraction:
+            if isinstance(value, bool):
+                raise ValidationError("model field %s needs a rational, "
+                                      "got %r" % (key, value))
+            value = str_to_fraction(value)
+        elif kind in (int, bool) and type(value) is not kind:
+            raise ValidationError("model field %s needs %s, got %r"
+                                  % (key, kind.__name__, value))
+        kwargs[key] = value
     try:
         return ModelConfig(**kwargs)
     except TypeError as exc:

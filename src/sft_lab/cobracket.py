@@ -24,20 +24,17 @@ root, each resolution read off the power spelling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (ConfigurationError, InternalError,
-                     TrivialClassError)
-from .words import (BoundaryOrder, Ray, SurfaceGroup, Word, format_letters,
-                    inverse, rotations, word_key)
+from .errors import ConfigurationError
+from .words import (BoundaryOrder, Ray, SurfaceGroup, Word, inverse,
+                    rotations, word_key)
 
 
 def _power(w, k: int):
     if k >= 0:
         return w * k
-    from .words import inverse as _inv
-    return _inv(w) * (-k)
+    return inverse(w) * (-k)
 
 
 class TensorSum:
@@ -101,6 +98,7 @@ class StringTopology:
         self.group = group
         self.order = BoundaryOrder(group)
         self._ray_cache: Dict[Word, Tuple[Ray, Ray]] = {}
+        self._balls: Dict[int, List[Word]] = {}
 
     # -- lifts ------------------------------------------------------------
 
@@ -120,29 +118,29 @@ class StringTopology:
 
     # -- self-intersections ------------------------------------------------
 
-    def canonicalize(self, word: Sequence[int]) -> Word:
-        return self.group.canonical_class(word)
+    def _pair_orbit_key(self, w1: Word, w2: Word,
+                        cores: Tuple[Word, ...]) -> Word:
+        """Canonical label of the lift pair (base of w1, g * base of w2).
 
-    def _pair_orbit_key(self, w: Word, g: Word) -> Word:
-        """Canonical label of the lift-line pair (base, g * base).
-
-        Two rotation pairs describe the same double point of the
-        geodesic exactly when their relative elements lie in a common
-        double coset of the cyclic group of the word, up to inverting
-        the relative element (swapping the two branches).  The key is
-        the least canonical spelling over that orbit, scanned through a
-        power window wide enough for the sizes at hand.
+        Two lift pairs describe the same crossing exactly when their
+        relative elements g lie in a common double coset <w1> g <w2>.
+        ``cores`` lists the relative elements whose double cosets form
+        the orbit: (g, inverse(g)) for two lifts of one word, whose
+        branches may be swapped, and (g,) for an ordered pair of words.
+        The key is the least canonical spelling over that orbit,
+        scanned through a power window wide enough for the sizes at
+        hand.
         """
         group = self.group
         width = 1
         while True:
             best = None
             shortest_on_boundary = None
-            for core in (g, inverse(g)):
+            for core in cores:
                 for a in range(-width, width + 1):
                     for b in range(-width, width + 1):
                         cand = group.canonical_element(
-                            _power(w, a) + core + _power(w, b))
+                            _power(w1, a) + core + _power(w2, b))
                         key = (len(cand), word_key(cand))
                         if best is None or key < best[0]:
                             best = (key, cand)
@@ -200,8 +198,8 @@ class StringTopology:
             if group_members[0] is c:    # dedupe once per group
                 by_key = {}
                 for member in group_members:
-                    key = self._pair_orbit_key(
-                        w, w[:member.i] + inverse(w[:member.j]))
+                    g = w[:member.i] + inverse(w[:member.j])
+                    key = self._pair_orbit_key(w, w, (g, inverse(g)))
                     by_key.setdefault(key, member)
                 out.extend(by_key.values())
         return out
@@ -243,10 +241,7 @@ class StringTopology:
     # -- bracket -------------------------------------------------------------
 
     def _connector_ball(self, radius: int) -> List[Word]:
-        key = radius
-        if not hasattr(self, "_balls"):
-            self._balls: Dict[int, List[Word]] = {}
-        if key not in self._balls:
+        if radius not in self._balls:
             letters = [x for k in range(1, self.group.rank + 1)
                        for x in (k, -k)]
             words: List[Word] = [()]
@@ -260,31 +255,8 @@ class StringTopology:
                         nxt.append(v + (x,))
                 words.extend(nxt)
                 frontier = nxt
-            self._balls[key] = words
-        return self._balls[key]
-
-    def _mutual_orbit_key(self, w1: Word, w2: Word, g: Word) -> Word:
-        """Canonical label of the ordered lift pair (base of w1, g * base
-        of w2) modulo simultaneous deck translations."""
-        group = self.group
-        width = 1
-        while True:
-            best = None
-            shortest_on_boundary = None
-            for a in range(-width, width + 1):
-                for b in range(-width, width + 1):
-                    cand = group.canonical_element(
-                        _power(w1, a) + g + _power(w2, b))
-                    key = (len(cand), word_key(cand))
-                    if best is None or key < best[0]:
-                        best = (key, cand)
-                    if abs(a) == width or abs(b) == width:
-                        if (shortest_on_boundary is None
-                                or len(cand) < shortest_on_boundary):
-                            shortest_on_boundary = len(cand)
-            if width >= 6 or shortest_on_boundary > best[0][0]:
-                return best[1]
-            width += 1
+            self._balls[radius] = words
+        return self._balls[radius]
 
     def bracket(self, w1: Word, w2: Word, connector_radius: int = 2
                 ) -> TensorSum:
@@ -317,7 +289,7 @@ class StringTopology:
                         continue
                     if not self.order.linked((eta1, xi1), (eta2, xi2)):
                         continue
-                    key = self._mutual_orbit_key(w1, w2, g)
+                    key = self._pair_orbit_key(w1, w2, (g,))
                     if key in taken:
                         continue
                     sign = self.order.orient(eta1, eta2, xi1)

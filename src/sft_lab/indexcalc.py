@@ -46,13 +46,14 @@ class CriticalPoint:
             raise ConfigurationError(
                 "Morse index must be 0, 1 or 2, got %r" % (self.index,))
 
-    @property
-    def is_extremum(self) -> bool:
-        return self.index in (MIN_INDEX, MAX_INDEX)
 
-    @property
-    def is_hyperbolic(self) -> bool:
-        return self.index == SADDLE_INDEX
+def surface_shift(sigma_index: int) -> int:
+    """The shift rule of the ambient Conley-Zehnder index.
+
+    +1 over an extremum of the surface Morse function, +0 over a
+    saddle; leaf (hypersurface) indices never shift.
+    """
+    return 1 if sigma_index in (MIN_INDEX, MAX_INDEX) else 0
 
 
 @dataclass(frozen=True)
@@ -129,15 +130,10 @@ def _check_cover(o: OrbitSymbol, cover_threshold: Optional[int]):
 
 
 def cz_in_model(o: OrbitSymbol, cover_threshold: Optional[int] = None) -> int:
-    """Conley-Zehnder index of the orbit in the ambient contact model.
-
-    The shift rule: +1 over an extremum of the surface Morse function,
-    +0 over a saddle.
-    """
+    """Conley-Zehnder index of the orbit in the ambient contact model:
+    the base index plus the ``surface_shift`` of its critical point."""
     _check_cover(o, cover_threshold)
-    if o.crit_sigma.is_extremum:
-        return o.cz_base + 1
-    return o.cz_base
+    return o.cz_base + surface_shift(o.crit_sigma.index)
 
 
 class RightCz(NamedTuple):
@@ -159,9 +155,8 @@ def cz_right(o: OrbitSymbol, cover_threshold: Optional[int] = None) -> RightCz:
         raise ConfigurationError("right orbit %s is missing its base "
                                  "critical point" % (o.id,))
     base = o.crit_base.index - 1
-    if o.crit_sigma.is_extremum:
-        return RightCz(ambient=base + 1, hypersurface=base)
-    return RightCz(ambient=base, hypersurface=base)
+    return RightCz(ambient=base + surface_shift(o.crit_sigma.index),
+                   hypersurface=base)
 
 
 def cz_resolved(o: OrbitSymbol, ambient: str = "M",

@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .errors import ConfigurationError
+from .indexcalc import surface_shift
 
 SIGMA_MIN = "min"          # index 0, left piece
 SIGMA_HYP_LEFT = "hyp-"    # index 1, left piece
@@ -48,8 +49,8 @@ class OrbitType:
 
     Left orbits carry a geodesic class implicitly (one class per
     orientation in the fixture); right orbits carry the base critical
-    point.  The ambient Conley-Zehnder index shifts by one over surface
-    extrema; the leaf value never does.
+    point.  The ambient Conley-Zehnder index adds the ``surface_shift``
+    of the surface critical point to the leaf value.
     """
 
     sigma: str
@@ -81,8 +82,7 @@ class OrbitType:
 
     @property
     def cz_ambient(self) -> int:
-        shift = 1 if SIGMA_INDEX[self.sigma] in (0, 2) else 0
-        return self.cz_leaf + shift
+        return self.cz_leaf + surface_shift(self.sigma_index)
 
     @property
     def sigma_index(self) -> int:
@@ -195,23 +195,6 @@ class ModelConfig:
             raise ConfigurationError("thresholds must be positive")
         if self.left_action_unit <= 0 or self.right_action_unit <= 0:
             raise ConfigurationError("action units must be positive")
-
-    @property
-    def genus_positive_piece(self) -> int:
-        return self.genus_sigma - self.k_circles + 1
-
-    @property
-    def left_saddles(self) -> int:
-        # genus-zero piece with k boundary circles, one minimum
-        return self.k_circles - 1
-
-    @property
-    def right_saddles(self) -> int:
-        return 2 * self.genus_positive_piece + self.k_circles - 1
-
-    @property
-    def base_saddles(self) -> int:
-        return 2 * self.genus_base
 
     def convention_fields(self) -> Dict[str, object]:
         return {

@@ -16,19 +16,30 @@ at a vertex have boundary points in the sectors of their first distinct
 germs, and the cyclic order of sectors is the cyclic order of germs.
 That yields an exact three-point orientation test for ends, with no
 floating point anywhere.
+
+Each ``SurfaceGroup`` owns the data derived from it.  The relator
+segment table (``segments``), the germ cycle (``rotation_cycle``) and
+the germ positions in it are built on first use, once per group.  The
+memo dicts of ``reduce_word``, ``canonical_element`` and
+``canonical_class`` are created empty with the group and fill as it
+works, each up to ``MEMO_CAP`` entries.  Ray normal forms are memoised
+module-wide by ``_normalize_ray_cached``, keyed by the group's value
+(its genus), and computed on the group that asked first.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError, InternalError, TrivialClassError
 
 Word = Tuple[int, ...]
+
+MEMO_CAP = 500000       # each memo dict of a group stops filling here
 
 
 def inverse(word: Sequence[int]) -> Word:
@@ -118,6 +129,12 @@ class SurfaceGroup:
     """Standard one-relator presentation of a closed genus-g surface."""
 
     genus: int
+    _memo_reduce: Dict[Word, Word] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _memo_canonical_element: Dict[Word, Word] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _memo_canonical_class: Dict[Word, Word] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.genus < 2:
@@ -151,17 +168,9 @@ class SurfaceGroup:
                     segs.setdefault(head, inverse(tail))
         return segs
 
-    @property
+    @cached_property
     def segments(self) -> Dict[Word, Word]:
-        if not hasattr(self, "_segs"):
-            object.__setattr__(self, "_segs", self._relator_segments())
-        return self._segs
-
-    def _cache(self, name: str) -> Dict:
-        attr = "_memo_" + name
-        if not hasattr(self, attr):
-            object.__setattr__(self, attr, {})
-        return getattr(self, attr)
+        return self._relator_segments()
 
     # -- Length reduction ------------------------------------------------
 
@@ -183,7 +192,7 @@ class SurfaceGroup:
     def reduce_word(self, word: Sequence[int]) -> Word:
         """Geodesic representative of a based word."""
         w = free_reduce(word)
-        cache = self._cache("reduce")
+        cache = self._memo_reduce
         got = cache.get(w)
         if got is not None:
             return got
@@ -192,7 +201,7 @@ class SurfaceGroup:
         while True:
             shorter = self._replace_long_segments(w, half + 1)
             if shorter is None:
-                if len(cache) < 500000:
+                if len(cache) < MEMO_CAP:
                     cache[key] = w
                 return w
             w = shorter
@@ -211,7 +220,7 @@ class SurfaceGroup:
         is the least spelling in the closure under such swaps.
         """
         w = self.reduce_word(word)
-        cache = self._cache("canonical_element")
+        cache = self._memo_canonical_element
         got = cache.get(w)
         if got is not None:
             return got
@@ -247,7 +256,7 @@ class SurfaceGroup:
                 break
             w = self.reduce_word(shorter)
         result = min(seen, key=word_key)
-        if len(cache) < 500000:
+        if len(cache) < MEMO_CAP:
             for v in seen:
                 cache[v] = result
         return result
@@ -323,7 +332,7 @@ class SurfaceGroup:
         trivial class is rejected.
         """
         start = cyclic_reduce(free_reduce(word))
-        cache = self._cache("canonical_class")
+        cache = self._memo_canonical_class
         got = cache.get(start)
         if got is not None:
             if got == ():
@@ -333,7 +342,7 @@ class SurfaceGroup:
         w = self._cyclic_shorten(start)
         while True:
             if not w:
-                if len(cache) < 500000:
+                if len(cache) < MEMO_CAP:
                     cache[start] = ()
                 raise TrivialClassError(
                     "word represents the trivial loop class")
@@ -342,7 +351,7 @@ class SurfaceGroup:
                 break
             w = self._cyclic_shorten(payload)
         result = min(payload, key=word_key)
-        if len(cache) < 500000:
+        if len(cache) < MEMO_CAP:
             cache[start] = result
         return result
 
@@ -381,7 +390,7 @@ class SurfaceGroup:
 
     # -- Boundary circle -------------------------------------------------
 
-    @property
+    @cached_property
     def rotation_cycle(self) -> Tuple[int, ...]:
         """Cyclic order of outgoing edge germs around a vertex.
 
@@ -389,8 +398,6 @@ class SurfaceGroup:
         at a vertex spans the wedge from the inverse of one boundary
         letter to the next boundary letter.
         """
-        if hasattr(self, "_rot"):
-            return self._rot
         r = self.relator
         L = len(r)
         nxt = {-r[i]: r[(i + 1) % L] for i in range(L)}
@@ -402,26 +409,26 @@ class SurfaceGroup:
             cycle.append(step)
         if len(cycle) != 2 * self.rank:
             raise InternalError("vertex link is not a single cycle")
-        object.__setattr__(self, "_rot", tuple(cycle))
-        return self._rot
+        return tuple(cycle)
 
-    def _rot_pos(self, germ: int) -> int:
-        if not hasattr(self, "_rot_index"):
-            object.__setattr__(self, "_rot_index",
-                               {g: i for i, g in enumerate(self.rotation_cycle)})
-        return self._rot_index[germ]
+    @cached_property
+    def _rot_pos(self) -> Dict[int, int]:
+        """Position of each germ in ``rotation_cycle``."""
+        return {g: i for i, g in enumerate(self.rotation_cycle)}
 
     def cyclic_orientation(self, a: int, b: int, c: int) -> int:
         """+1 when germs a, b, c appear in cycle order, -1 otherwise."""
         n = 2 * self.rank
-        pa, pb, pc = self._rot_pos(a), self._rot_pos(b), self._rot_pos(c)
+        pos = self._rot_pos
+        pa, pb, pc = pos[a], pos[b], pos[c]
         return 1 if (pb - pa) % n < (pc - pa) % n else -1
 
     def linear_after(self, cut: int, a: int, b: int) -> bool:
         """Is germ a before germ b when the cycle is cut at ``cut``?"""
         n = 2 * self.rank
-        pc = self._rot_pos(cut)
-        return (self._rot_pos(a) - pc) % n < (self._rot_pos(b) - pc) % n
+        pos = self._rot_pos
+        pc = pos[cut]
+        return (pos[a] - pc) % n < (pos[b] - pc) % n
 
 
 class Ray:
@@ -432,17 +439,15 @@ class Ray:
     on their normal form.
     """
 
-    __slots__ = ("prefix", "tail", "_group")
+    __slots__ = ("prefix", "tail")
 
     def __init__(self, group: SurfaceGroup, prefix: Sequence[int],
                  tail: Sequence[int]):
         tail = tuple(tail)
         if not tail:
             raise InternalError("a ray needs a nonempty repeating block")
-        prefix, tail = _normalize_ray(group, tuple(prefix), tail)
-        self.prefix = prefix
-        self.tail = tail
-        self._group = group
+        self.prefix, self.tail = _normalize_ray_cached(group, tuple(prefix),
+                                                       tail)
 
     def letter(self, n: int) -> int:
         if n < len(self.prefix):
@@ -483,9 +488,8 @@ def _stream_clean(group: SurfaceGroup, tail: Word) -> bool:
 
 
 @lru_cache(maxsize=200000)
-def _normalize_ray_cached(genus: int, prefix: Word, tail: Word
+def _normalize_ray_cached(group: SurfaceGroup, prefix: Word, tail: Word
                           ) -> Tuple[Word, Word]:
-    group = SurfaceGroup(genus)
     if not prefix and _stream_clean(group, tail):
         return (), tail
     L = group.relator_length
@@ -510,11 +514,6 @@ def _normalize_ray_cached(genus: int, prefix: Word, tail: Word
                for i in range(cut, len(r2))):
             return r2[:cut], tail_rot
     raise InternalError("could not re-periodize a reduced ray")
-
-
-def _normalize_ray(group: SurfaceGroup, prefix: Word, tail: Word
-                   ) -> Tuple[Word, Word]:
-    return _normalize_ray_cached(group.genus, prefix, tail)
 
 
 class BoundaryOrder:

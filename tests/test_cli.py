@@ -34,6 +34,21 @@ class TestEnumerateCommand:
         assert code == 3
         assert "consistency failure: component" in err
 
+    @pytest.mark.parametrize("config", [
+        {"max_levels": 2.5},            # float for an int field
+        {"max_levels": True},           # bool for an int field
+        {"allow_flowline_pants": 1},    # non-bool for a toggle
+        {"action_threshold": True},     # bool for an action field
+    ])
+    def test_wrongly_typed_config_is_validation_error(self, capsys, tmp_path,
+                                                      config):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(config))
+        code = main(["enumerate", "--config", str(path),
+                     "--genus", "0", "--ends", "1"])
+        assert code == 2
+        assert "invalid input: model field" in capsys.readouterr().err
+
 
 class TestIndexCommand:
     def test_kernel_bound(self, capsys):

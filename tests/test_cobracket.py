@@ -124,6 +124,22 @@ class TestBracket:
         got = ST.bracket((1,), (2,))
         assert got.terms == {G2.canonical_class((1, 2)): -1}
 
+    def test_pinned_terms(self):
+        # exact terms, so the orbit-key scan behind the deduplication is
+        # checked by value and not only through the algebraic laws below
+        pins = [
+            ((1, 2), (2,), {(1, 2, 2): -1}),
+            ((1, 3), (2, 4), {(1, 2, 4, 3): -1, (1, 3, 4, 2): -1}),
+            ((1, 1, 2), (-1, 2), {(1, 1, 2, -1, 2): -1, (1, 2, 2): -2}),
+            ((1, 2, 3), (-2, 4), {(1, 2, 3, 4, -2): -1,
+                                  (1, 2, 4, -2, 3): 1}),
+            ((1,), (2, 3, -4), {(1, 3, -4, 2): -1}),
+            ((1, 2), (-2, 4, 3), {(1, 4, 3): 1}),
+        ]
+        for w1, w2, terms in pins:
+            assert ST.bracket(G2.canonical_class(w1),
+                              G2.canonical_class(w2)).terms == terms
+
     def test_antisymmetry_sampled(self):
         rng = random.Random(7)
         classes = rand_classes(rng, 8, max_len=3)

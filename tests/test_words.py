@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sft_lab.errors import ConfigurationError, TrivialClassError
-from sft_lab.words import (BoundaryOrder, SurfaceGroup, cyclic_reduce,
+from sft_lab.words import (BoundaryOrder, SurfaceGroup,
+                           _normalize_ray_cached, cyclic_reduce,
                            format_letters, free_reduce, inverse,
                            parse_letters, rotations, word_key)
 
@@ -158,3 +161,44 @@ class TestBoundaryOrder:
         w3 = (3,)
         pair3 = (bo.ray((), inverse(w3)), bo.ray((), w3))
         assert not bo.linked(pair1, pair3)   # disjoint handles
+
+
+class TestSharedGroup:
+    """A group builds its derived data once and shares it with its rays."""
+
+    def test_segment_table_built_once_per_group(self, monkeypatch):
+        builds = []
+        original = SurfaceGroup._relator_segments
+
+        def counting(self):
+            builds.append(self)
+            return original(self)
+
+        monkeypatch.setattr(SurfaceGroup, "_relator_segments", counting)
+        _normalize_ray_cached.cache_clear()
+        bo = BoundaryOrder(SurfaceGroup(2))
+        prefixes = [(2,), (-1, 3), (4, 4), (-3,), (1, -4)]
+        tails = [(1,), (2,), (1, 2), (1, 3, -2), (3, 4, 4)]
+        keys = {bo.ray(p, t).key() for p in prefixes for t in tails}
+        assert len(keys) >= 20
+        assert len(builds) == 1
+
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    @given(word=st.lists(st.sampled_from(LETTERS), max_size=10).map(tuple),
+           prefix=st.lists(st.sampled_from(LETTERS), max_size=10).map(tuple))
+    def test_long_lived_group_agrees_with_fresh_one(self, word, prefix):
+        fresh = SurfaceGroup(2)
+        assert G2.canonical_element(word) == fresh.canonical_element(word)
+        try:
+            cls = fresh.canonical_class(word)
+        except TrivialClassError:
+            with pytest.raises(TrivialClassError):
+                G2.canonical_class(word)
+            return
+        assert G2.canonical_class(word) == cls
+        # ray normal forms are memoised across groups: clear the memo so
+        # each group computes its own
+        _normalize_ray_cached.cache_clear()
+        fresh_key = BoundaryOrder(fresh).ray(prefix, cls).key()
+        _normalize_ray_cached.cache_clear()
+        assert BoundaryOrder(G2).ray(prefix, cls).key() == fresh_key
