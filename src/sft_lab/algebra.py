@@ -15,15 +15,13 @@ elimination.  Cancellations of opposite counts are therefore exact.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (ConfigurationError, InternalError, SquareZeroError,
                      ValidationError)
-from .indexcalc import OrbitSymbol, cz_resolved
 
 EVEN = 0
 ODD = 1
@@ -48,26 +46,25 @@ def monomial_times_hbar(m: Monomial, j: int) -> Monomial:
 
 @dataclass(frozen=True)
 class Generator:
-    """Algebra generator attached to a good closed orbit."""
+    """Algebra generator of a good closed orbit.
 
-    orbit: OrbitSymbol
+    ``parity`` is the grading, ``cover`` the covering multiplicity
+    (the kappa of the combinatorial factor) and ``action`` the orbit's
+    positive action.
+    """
+
+    id: str
     parity: int
+    cover: int = 1
+    action: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if not self.orbit.good:
-            raise ConfigurationError(
-                "only good orbits generate; %s is bad" % (self.orbit.id,))
         if self.parity not in (EVEN, ODD):
             raise ConfigurationError("parity must be 0 or 1")
-
-    @property
-    def id(self) -> str:
-        return self.orbit.id
-
-
-def default_parity(orbit: OrbitSymbol) -> int:
-    """Ambient Conley-Zehnder parity, the default grading convention."""
-    return cz_resolved(orbit, "M") % 2
+        if self.cover < 1:
+            raise ConfigurationError("cover must be >= 1")
+        if self.action <= 0:
+            raise ConfigurationError("action must be positive")
 
 
 class GeneratorSet:
@@ -85,15 +82,13 @@ class GeneratorSet:
             self._by_id[g.id] = g
 
     @classmethod
-    def from_orbits(cls, orbits: Iterable[OrbitSymbol],
+    def from_orbits(cls, generators: Iterable[Generator],
                     parity_override: Optional[Mapping[str, int]] = None
                     ) -> "GeneratorSet":
+        """The set of ``generators``, with parities overridden by id."""
         parity_override = parity_override or {}
-        gens = []
-        for o in orbits:
-            parity = parity_override.get(o.id, default_parity(o))
-            gens.append(Generator(orbit=o, parity=parity))
-        return cls(gens)
+        return cls(replace(g, parity=parity_override[g.id])
+                   if g.id in parity_override else g for g in generators)
 
     def __contains__(self, gen_id: str) -> bool:
         return gen_id in self._by_id
@@ -114,10 +109,10 @@ class GeneratorSet:
         return self.generator(gen_id).parity
 
     def kappa(self, gen_id: str) -> int:
-        return self.generator(gen_id).orbit.cover
+        return self.generator(gen_id).cover
 
     def action(self, gen_id: str) -> Fraction:
-        return self.generator(gen_id).orbit.action
+        return self.generator(gen_id).action
 
     def monomial_parity(self, m: Monomial) -> int:
         return sum(self.parity(g) * e for g, e in m[1]) % 2
@@ -191,9 +186,6 @@ class AlgebraElement:
     def times_hbar(self, j: int) -> "AlgebraElement":
         return AlgebraElement({monomial_times_hbar(m, j): c
                                for m, c in self.terms.items()})
-
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
 
 
 def multiply_generator(gens: GeneratorSet, gen_id: str,
@@ -502,9 +494,7 @@ def solve_exact(rows: List[List[Fraction]], rhs: List[Fraction]
     n_cols = len(rows[0]) if n_rows else 0
     m: List[List[int]] = []
     for row, b in zip(rows, rhs):
-        denom = 1
-        for v in list(row) + [b]:
-            denom = denom * v.denominator // _gcd(denom, v.denominator)
+        denom = lcm(*(v.denominator for v in list(row) + [b]))
         m.append([int(v * denom) for v in list(row) + [b]])
     prev = 1
     piv_rows: List[Tuple[int, int]] = []   # (row, col) of pivots
@@ -537,12 +527,6 @@ def solve_exact(rows: List[List[Fraction]], rhs: List[Fraction]
             acc -= m[row][j] * solution[j]
         solution[col] = acc / m[row][col]
     return solution
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 UNKNOWN = "unknown"

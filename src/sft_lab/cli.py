@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import fields
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .algebra import (AlgebraElement, CurveCountTable, Generator,
@@ -31,10 +31,9 @@ from .covers import (BranchProfile, double_point_budget,
 from .enumerator import classification_document
 from .errors import (ConsistencyError, InternalError, SftLabError,
                      SquareZeroError, ValidationError)
-from .indexcalc import (CriticalPoint, OrbitSymbol, PunctureProfile,
-                        automatic_transversality, gluing_base_dim,
-                        kernel_bound, normal_index, obstruction_rank,
-                        regularity_transfer)
+from .indexcalc import (PunctureProfile, automatic_transversality,
+                        gluing_base_dim, kernel_bound, normal_index,
+                        obstruction_rank, regularity_transfer)
 from .jsonio import (SCHEMA_VERSION, canonical_dumps, digest, read_document,
                      str_to_fraction, write_document)
 from .model import ModelConfig, paper_model
@@ -44,6 +43,34 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONSISTENCY = 3
 EXIT_INTERNAL = 4
+
+
+def _rational(name: str, value) -> Fraction:
+    """Parse a "p/q" rational input, naming ``name`` when it is bad."""
+    if not isinstance(value, bool):
+        try:
+            return str_to_fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValidationError("%s needs a rational, got %r" % (name, value))
+
+
+def _integer(name: str, value) -> int:
+    """Parse an integer input, naming ``name`` when it is bad."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValidationError("%s needs an integer, got %r" % (name, value))
+
+
+def _comma_ints(text: str) -> List[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "comma-separated integers expected, got %r" % (text,))
 
 
 def _load_model(path: Optional[str]) -> ModelConfig:
@@ -59,10 +86,7 @@ def _load_model(path: Optional[str]) -> ModelConfig:
     for key, value in raw.items():
         kind = kinds.get(key)
         if kind is Fraction:
-            if isinstance(value, bool):
-                raise ValidationError("model field %s needs a rational, "
-                                      "got %r" % (key, value))
-            value = str_to_fraction(value)
+            value = _rational("model field %s" % key, value)
         elif kind in (int, bool) and type(value) is not kind:
             raise ValidationError("model field %s needs %s, got %r"
                                   % (key, kind.__name__, value))
@@ -115,45 +139,77 @@ def cmd_enumerate(args) -> int:
 # -- torsion -----------------------------------------------------------------
 
 
-def _generic_orbit(spec: Dict) -> OrbitSymbol:
-    return OrbitSymbol(
-        id=str(spec["id"]),
-        side="spine",
-        crit_sigma=CriticalPoint("generic", 1),
-        cover=int(spec.get("cover", 1)),
-        action=str_to_fraction(spec.get("action", "1")),
-        cz_base=int(spec.get("cz", 1)),
-        good=bool(spec.get("good", True)),
-    )
+def _objects(raw: Dict, key: str, required: Sequence[str]) -> List[Dict]:
+    """The list ``raw[key]`` of objects, each with the ``required`` keys."""
+    items = raw[key]
+    if not isinstance(items, list) or not all(isinstance(x, dict)
+                                              for x in items):
+        raise ValidationError("%r must be a list of objects" % (key,))
+    for item in items:
+        for name in required:
+            if name not in item:
+                raise ValidationError("missing field %r in %r"
+                                      % (name, item))
+    return items
 
 
-def load_count_table(raw: Dict):
+def _strings(name: str, value) -> Tuple[str, ...]:
+    """Parse a list of strings input, naming ``name`` when it is bad."""
+    if not isinstance(value, list) or not all(isinstance(x, str)
+                                              for x in value):
+        raise ValidationError("%s needs a list of strings, got %r"
+                              % (name, value))
+    return tuple(value)
+
+
+def load_count_table(raw: Dict) -> CurveCountTable:
+    """Build the count table of a ``sft-lab torsion`` input document.
+
+    Each entry of ``generators`` is one algebra generator:
+
+    * ``id`` (required): the name count rows refer to;
+    * ``cz`` (integer, default 1): its Conley-Zehnder index, whose
+      parity grades the generator;
+    * ``parity`` (0 or 1): overrides the parity of ``cz``;
+    * ``cover`` (integer >= 1, default 1): its covering multiplicity;
+    * ``action`` (positive rational "p/q", default "1");
+    * ``good`` (default true): bad orbits do not generate, so false is
+      rejected.
+
+    Each entry of ``counts`` has ``genus``, ``positive`` and optional
+    ``negative`` id lists and a rational ``value``.
+    """
     if not isinstance(raw, dict) or "generators" not in raw \
             or "counts" not in raw:
         raise ValidationError(
             "count table documents need 'generators' and 'counts'")
-    override = {}
-    orbits = []
-    for spec in raw["generators"]:
-        orbit = _generic_orbit(spec)
-        orbits.append(orbit)
-        if "parity" in spec:
-            override[orbit.id] = int(spec["parity"])
-    gens = GeneratorSet.from_orbits(orbits, parity_override=override)
+    gens = []
+    for spec in _objects(raw, "generators", ("id",)):
+        if spec.get("good", True) is not True:
+            raise ValidationError("only good orbits generate; field 'good' "
+                                  "of %s must be true" % (spec["id"],))
+        cz = _integer("field 'cz'", spec.get("cz", 1))
+        gens.append(Generator(
+            str(spec["id"]),
+            _integer("field 'parity'", spec.get("parity", cz % 2)),
+            _integer("field 'cover'", spec.get("cover", 1)),
+            _rational("field 'action'", spec.get("action", "1"))))
     entries = {}
-    for row in raw["counts"]:
-        key = (int(row["genus"]), tuple(row["positive"]),
-               tuple(row.get("negative", ())))
-        value = str_to_fraction(row["value"])
+    for row in _objects(raw, "counts", ("genus", "positive", "value")):
+        key = (_integer("field 'genus'", row["genus"]),
+               _strings("field 'positive'", row["positive"]),
+               _strings("field 'negative'", row.get("negative", [])))
+        value = _rational("field 'value'", row["value"])
         entries[key] = entries.get(key, Fraction(0)) + value
-    return CurveCountTable(gens, entries)
+    return CurveCountTable(GeneratorSet(gens), entries)
 
 
 def cmd_torsion(args) -> int:
     raw = read_document(args.counts)
     counts = load_count_table(raw)
     trunc = Truncation(hbar_max=args.trunc_hbar, length_max=args.trunc_len,
-                       action_cap=str_to_fraction(args.action_cap))
+                       action_cap=_rational("--action-cap",
+                                            args.action_cap))
     square_ok, witness = (True, None)
     if not args.skip_square_check:
         square_ok, witness = check_square_zero(counts, trunc)
@@ -204,7 +260,10 @@ def _load_registry(group: SurfaceGroup, path: Optional[str]
     registry = ClassRegistry(group)
     if path and os.path.exists(path):
         raw = read_document(path)
-        for spelled in raw.get("classes", []):
+        if not isinstance(raw, dict):
+            raise ValidationError("registry %s must be an object" % (path,))
+        for spelled in _strings("registry field 'classes'",
+                                raw.get("classes", [])):
             registry.label(parse_letters(spelled, group.genus))
     return registry
 
@@ -256,11 +315,11 @@ def cmd_cobracket(args) -> int:
 def cmd_index(args) -> int:
     payload: Dict[str, object] = {}
     if args.kernel_bound:
-        c, gamma = map(int, args.kernel_bound)
+        c, gamma = args.kernel_bound
         payload["kernel_bound"] = {"c": c, "gamma_even": gamma,
                                    "value": kernel_bound(c, gamma)}
     if args.normal_index:
-        vals = list(map(int, args.normal_index))
+        vals = args.normal_index
         profile = PunctureProfile(genus=vals[0], pos=tuple(vals[1:4]),
                                   neg=tuple(vals[4:7]))
         payload["normal_index"] = {"genus": profile.genus,
@@ -271,11 +330,11 @@ def cmd_index(args) -> int:
             profile, normal_index(profile))
         payload["regularity_transfer"] = regularity_transfer(profile, True)
     if args.obstruction_rank:
-        leaf_rank, ind_n, dim_ker = map(int, args.obstruction_rank)
+        leaf_rank, ind_n, dim_ker = args.obstruction_rank
         payload["obstruction_rank"] = obstruction_rank(leaf_rank, ind_n,
                                                        dim_ker)
     if args.gluing_dim:
-        virt, rank = map(int, args.gluing_dim)
+        virt, rank = args.gluing_dim
         payload["gluing_base_dim"] = gluing_base_dim(virt, rank)
     if not payload:
         raise ValidationError("no index operation requested")
@@ -319,7 +378,7 @@ def cmd_rigidity(args) -> int:
     else:
         if args.multiplicities is None:
             raise ValidationError("single profiles need --multiplicities")
-        mults = tuple(int(x) for x in args.multiplicities.split(","))
+        mults = tuple(args.multiplicities)
         bp = BranchProfile(degree=args.degree,
                            interior_vanishing=args.interior,
                            puncture_multiplicities=mults,
@@ -369,12 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cobracket)
 
     p = sub.add_parser("index", help="index calculus evaluations")
-    p.add_argument("--kernel-bound", nargs=2, metavar=("C", "G"))
-    p.add_argument("--normal-index", nargs=7,
+    p.add_argument("--kernel-bound", nargs=2, type=int, metavar=("C", "G"))
+    p.add_argument("--normal-index", nargs=7, type=int,
                    metavar=("GENUS", "P0", "P1", "P2", "N0", "N1", "N2"))
-    p.add_argument("--obstruction-rank", nargs=3,
+    p.add_argument("--obstruction-rank", nargs=3, type=int,
                    metavar=("LEAF_RANK", "NORMAL_INDEX", "DIM_KER"))
-    p.add_argument("--gluing-dim", nargs=2, metavar=("VIRT", "RANK"))
+    p.add_argument("--gluing-dim", nargs=2, type=int,
+                   metavar=("VIRT", "RANK"))
     p.add_argument("--out")
     p.set_defaults(func=cmd_index)
 
@@ -385,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-branching", type=int, default=6)
     p.add_argument("--max-interior", type=int, default=6)
     p.add_argument("--interior", type=int, default=0)
-    p.add_argument("--multiplicities",
+    p.add_argument("--multiplicities", type=_comma_ints,
                    help="comma-separated puncture multiplicities")
     p.add_argument("--base-punctures", type=int, default=2)
     p.add_argument("--base-euler", type=int, default=0)
@@ -403,7 +463,7 @@ def main(argv=None) -> int:
     except SquareZeroError as exc:
         sys.stderr.write("consistency failure: %s\n" % exc)
         return EXIT_CONSISTENCY
-    except (ValidationError, ValueError, KeyError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         sys.stderr.write("invalid input: %s\n" % exc)
         return EXIT_VALIDATION
     except InternalError as exc:

@@ -37,18 +37,18 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .covers import BranchProfile, _fiber_partitions
 from .errors import ConfigurationError, ConsistencyError, NoTwinError
-from .indexcalc import (PunctureProfile, fredholm_index_from_cz, normal_index,
+from .indexcalc import (BASE_MAX, BASE_MIN, BASE_SADDLE, SIGMA_HYP_LEFT,
+                        SIGMA_HYP_RIGHT, SIGMA_MAX, SIGMA_MIN, OrbitType,
+                        PunctureProfile, fredholm_index_from_cz, normal_index,
                         obstruction_rank, regularity_transfer)
-from .model import (BASE_INDEX, BASE_MAX, BASE_MIN, BASE_SADDLE, FLOW_LEFT,
-                    FLOW_RIGHT, Leaf, ModelConfig, OrbitType, PAGE_HYP_MIN,
-                    PAGE_MAX_HYP, PAGE_MAX_MIN, SIGMA_HYP_LEFT,
-                    SIGMA_HYP_RIGHT, SIGMA_MAX, SIGMA_MIN)
+from .model import (FLOW_LEFT, FLOW_RIGHT, PAGE_HYP_MIN, PAGE_MAX_HYP,
+                    PAGE_MAX_MIN, Leaf, ModelConfig)
 
 CASE_PLANE = "plane"
 CASE_CYLINDER = "cylinder_two_positive"
@@ -160,10 +160,7 @@ def twin(cfg: ModelConfig, b: Building) -> Building:
     if not b.twistable:
         raise NoTwinError("configuration has no flow-line or page-like leaf")
     new_levels = tuple(
-        tuple(Component(leaf=c.leaf.twin() if c.leaf.twistable else c.leaf,
-                        genus=c.genus, pos=c.pos, neg=c.neg,
-                        trivial=c.trivial, cover_base=c.cover_base,
-                        degree=c.degree)
+        tuple(replace(c, leaf=c.leaf.twin()) if c.leaf.twistable else c
               for c in level)
         for level in b.levels)
     return Building(levels=new_levels, edges=b.edges)

@@ -14,10 +14,6 @@ class ValidationError(SftLabError):
     """Malformed or inconsistent user input (CLI exit code 2)."""
 
 
-class CoverThresholdError(ValidationError):
-    """An orbit's covering multiplicity exceeds the model threshold."""
-
-
 class ConfigurationError(ValidationError):
     """A model configuration violates one of its structural invariants."""
 

@@ -1,13 +1,16 @@
 """Index calculus for punctured holomorphic curves in the product model.
 
-Everything in this module is exact integer arithmetic.  Closed Reeb
-orbits of low action in the model correspond to pairs (critical point
-of a Morse function on the dividing surface, closed orbit downstairs),
-and the Conley-Zehnder index of such an orbit differs from the index of
-the underlying orbit by a shift that depends only on the Morse index of
-the surface critical point.  The operations below package those shift
-rules, the Fredholm index, the index of the normal operator of a curve
-confined to a leaf hypersurface, the automatic-transversality and
+Everything in this module is exact integer arithmetic.  It owns the one
+orbit type of the package: a closed Reeb orbit of low action in the
+model is an ``OrbitType``, a critical point of a Morse function on the
+dividing surface together with a datum downstairs (a geodesic class on
+the left side, a base critical point on the right side) and a covering
+multiplicity.  Its Conley-Zehnder index is the leaf value plus
+``surface_shift`` of the surface critical point, the one CZ rule of the
+package; ``left_orbit`` and ``right_orbit`` turn an orbit into an
+algebra generator graded by that index's parity.  The operations below
+also package the Fredholm index, the index of the normal operator of a
+curve confined to a leaf hypersurface, the automatic-transversality and
 regularity-transfer predicates, and the obstruction-bundle rank rule.
 
 Morse indices of surface critical points are always given for the glued
@@ -18,33 +21,31 @@ functions, whose indices on the positive piece would be reversed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .errors import ConfigurationError, CoverThresholdError, InternalError
-
-SIDE_LEFT = "left"
-SIDE_RIGHT = "right"
-SIDE_SPINE = "spine"
-SIDES = (SIDE_LEFT, SIDE_RIGHT, SIDE_SPINE)
+from .algebra import Generator
+from .errors import ConfigurationError, InternalError
 
 MIN_INDEX = 0
 SADDLE_INDEX = 1
 MAX_INDEX = 2
 
+SIGMA_MIN = "min"          # index 0, left piece
+SIGMA_HYP_LEFT = "hyp-"    # index 1, left piece
+SIGMA_HYP_RIGHT = "hyp+"   # index 1, right piece
+SIGMA_MAX = "max"          # index 2, right piece
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    """A critical point label together with its Morse index."""
+SIGMA_INDEX = {SIGMA_MIN: 0, SIGMA_HYP_LEFT: 1, SIGMA_HYP_RIGHT: 1,
+               SIGMA_MAX: 2}
+SIGMA_SIDE = {SIGMA_MIN: "left", SIGMA_HYP_LEFT: "left",
+              SIGMA_HYP_RIGHT: "right", SIGMA_MAX: "right"}
 
-    label: str
-    index: int
-
-    def __post_init__(self):
-        if self.index not in (0, 1, 2):
-            raise ConfigurationError(
-                "Morse index must be 0, 1 or 2, got %r" % (self.index,))
+BASE_MIN = "m"             # base Morse index 0
+BASE_SADDLE = "s"          # base Morse index 1
+BASE_MAX = "M"             # base Morse index 2
+BASE_INDEX = {BASE_MIN: 0, BASE_SADDLE: 1, BASE_MAX: 2}
 
 
 def surface_shift(sigma_index: int) -> int:
@@ -56,127 +57,92 @@ def surface_shift(sigma_index: int) -> int:
     return 1 if sigma_index in (MIN_INDEX, MAX_INDEX) else 0
 
 
-@dataclass(frozen=True)
-class OrbitSymbol:
-    """A closed Reeb orbit generator of the model.
+@dataclass(frozen=True, order=True)
+class OrbitType:
+    """Type of a closed orbit: surface critical point, base datum, cover.
 
-    ``crit_sigma`` is the critical point on the dividing surface the
-    orbit sits over; ``crit_base`` (right side only) is the critical
-    point of the Morse function on the base surface downstairs.
-    ``cz_base`` is the Conley-Zehnder index of the underlying orbit in
-    the reference trivialization, before the surface shift; for left
-    orbits it vanishes in the natural trivialization, for right orbits
-    it equals ``crit_base.index - 1``.
+    Left orbits carry a geodesic class implicitly (one class per
+    orientation in the fixture); right orbits carry the base critical
+    point.  The ambient Conley-Zehnder index adds the ``surface_shift``
+    of the surface critical point to the leaf value.
     """
 
-    id: str
-    side: str
-    crit_sigma: CriticalPoint
+    sigma: str
+    base: Optional[str] = None
     cover: int = 1
-    action: Fraction = Fraction(1)
-    cz_base: int = 0
-    crit_base: Optional[CriticalPoint] = None
-    good: bool = True
-    contractible: bool = False
 
     def __post_init__(self):
-        if self.side not in SIDES:
-            raise ConfigurationError("unknown side %r" % (self.side,))
+        if self.sigma not in SIGMA_INDEX:
+            raise ConfigurationError("unknown surface critical type %r"
+                                     % (self.sigma,))
+        if self.side == "right":
+            if self.base not in BASE_INDEX:
+                raise ConfigurationError("right orbits need a base point")
+        else:
+            if self.base is not None:
+                raise ConfigurationError("left orbits carry no base point")
         if self.cover < 1:
-            raise ConfigurationError("cover must be >= 1")
-        if self.action <= 0:
-            raise ConfigurationError("action must be positive")
-        if self.side == SIDE_LEFT and self.contractible:
-            raise ConfigurationError("left orbits are non-contractible")
-        if self.side == SIDE_RIGHT and self.contractible:
-            raise ConfigurationError("right orbits are non-contractible")
-        if self.side == SIDE_LEFT and self.cz_base != 0:
-            raise ConfigurationError(
-                "left orbits have vanishing base index in the natural "
-                "trivialization")
+            raise ConfigurationError("cover must be positive")
+
+    @property
+    def side(self) -> str:
+        return SIGMA_SIDE[self.sigma]
+
+    @property
+    def cz_leaf(self) -> int:
+        if self.side == "left":
+            return 0
+        return BASE_INDEX[self.base] - 1
+
+    @property
+    def cz_ambient(self) -> int:
+        return self.cz_leaf + surface_shift(self.sigma_index)
+
+    @property
+    def sigma_index(self) -> int:
+        return SIGMA_INDEX[self.sigma]
+
+    def action(self, cfg: "ModelConfig") -> Fraction:
+        unit = (cfg.left_action_unit if self.side == "left"
+                else cfg.right_action_unit)
+        return unit * self.cover
+
+    def label(self) -> str:
+        core = self.sigma if self.base is None else \
+            "%s;%s" % (self.sigma, self.base)
+        return core if self.cover == 1 else "%s^%d" % (core, self.cover)
 
 
-def left_orbit(id, sigma_index, *, cover=1, action=Fraction(1), good=True):
-    """Orbit over a geodesic-type closed orbit, sitting over a critical
-    point of the negative piece (index 0 or 1)."""
-    if sigma_index not in (MIN_INDEX, SADDLE_INDEX):
+_LEFT_SIGMA = {MIN_INDEX: SIGMA_MIN, SADDLE_INDEX: SIGMA_HYP_LEFT}
+_RIGHT_SIGMA = {SADDLE_INDEX: SIGMA_HYP_RIGHT, MAX_INDEX: SIGMA_MAX}
+_BASE_OF_INDEX = {i: name for name, i in BASE_INDEX.items()}
+
+
+def left_orbit(id, sigma_index, *, cover=1, action=Fraction(1)) -> Generator:
+    """Generator of the orbit over a geodesic-type closed orbit, sitting
+    over a critical point of the negative piece (index 0 or 1), graded
+    by its ambient Conley-Zehnder parity."""
+    if sigma_index not in _LEFT_SIGMA:
         raise ConfigurationError(
             "left-side surface critical points have index 0 or 1")
-    return OrbitSymbol(
-        id=id, side=SIDE_LEFT,
-        crit_sigma=CriticalPoint("sigma-%d" % sigma_index, sigma_index),
-        cover=cover, action=action, cz_base=0, good=good)
+    orbit = OrbitType(_LEFT_SIGMA[sigma_index], cover=cover)
+    return Generator(id, orbit.cz_ambient % 2, cover, action)
 
 
-def right_orbit(id, sigma_index, base_index, *, cover=1, action=Fraction(1),
-                good=True):
-    """Orbit over a circle fiber, over a critical point of the positive
-    piece (index 1 or 2) and a critical point of the base function."""
-    if sigma_index not in (SADDLE_INDEX, MAX_INDEX):
+def right_orbit(id, sigma_index, base_index, *, cover=1,
+                action=Fraction(1)) -> Generator:
+    """Generator of the orbit over a circle fiber, over a critical point
+    of the positive piece (index 1 or 2) and a critical point of the
+    base function, graded by its ambient Conley-Zehnder parity."""
+    if sigma_index not in _RIGHT_SIGMA:
         raise ConfigurationError(
             "right-side surface critical points have index 1 or 2")
-    return OrbitSymbol(
-        id=id, side=SIDE_RIGHT,
-        crit_sigma=CriticalPoint("sigma-%d" % sigma_index, sigma_index),
-        crit_base=CriticalPoint("base-%d" % base_index, base_index),
-        cover=cover, action=action, cz_base=base_index - 1, good=good)
-
-
-def _check_cover(o: OrbitSymbol, cover_threshold: Optional[int]):
-    if cover_threshold is not None and o.cover > cover_threshold:
-        raise CoverThresholdError(
-            "orbit %s has cover %d above threshold %d"
-            % (o.id, o.cover, cover_threshold))
-
-
-def cz_in_model(o: OrbitSymbol, cover_threshold: Optional[int] = None) -> int:
-    """Conley-Zehnder index of the orbit in the ambient contact model:
-    the base index plus the ``surface_shift`` of its critical point."""
-    _check_cover(o, cover_threshold)
-    return o.cz_base + surface_shift(o.crit_sigma.index)
-
-
-class RightCz(NamedTuple):
-    ambient: int
-    hypersurface: int
-
-
-def cz_right(o: OrbitSymbol, cover_threshold: Optional[int] = None) -> RightCz:
-    """Ambient and hypersurface Conley-Zehnder indices of a right orbit.
-
-    Over a saddle both agree and equal ind(q) - 1; over an extremum the
-    ambient index picks up the +1 shift, so it equals ind(q) while the
-    hypersurface value stays at ind(q) - 1.
-    """
-    _check_cover(o, cover_threshold)
-    if o.side != SIDE_RIGHT:
-        raise ConfigurationError("cz_right needs a right-side orbit")
-    if o.crit_base is None:
-        raise ConfigurationError("right orbit %s is missing its base "
-                                 "critical point" % (o.id,))
-    base = o.crit_base.index - 1
-    return RightCz(ambient=base + surface_shift(o.crit_sigma.index),
-                   hypersurface=base)
-
-
-def cz_resolved(o: OrbitSymbol, ambient: str = "M",
-                cover_threshold: Optional[int] = None) -> int:
-    """Resolve an orbit's Conley-Zehnder index for the chosen ambient.
-
-    ``ambient`` is "M" for the full contact model and "W0" for the
-    completed semi-filling a leaf identifies with.
-    """
-    _check_cover(o, cover_threshold)
-    if ambient == "M":
-        if o.side == SIDE_RIGHT:
-            return cz_right(o).ambient
-        return cz_in_model(o)
-    if ambient == "W0":
-        if o.side == SIDE_RIGHT:
-            return cz_right(o).hypersurface
-        return o.cz_base
-    raise ConfigurationError("ambient must be 'M' or 'W0', got %r"
-                             % (ambient,))
+    if base_index not in _BASE_OF_INDEX:
+        raise ConfigurationError(
+            "Morse index must be 0, 1 or 2, got %r" % (base_index,))
+    orbit = OrbitType(_RIGHT_SIGMA[sigma_index], _BASE_OF_INDEX[base_index],
+                      cover)
+    return Generator(id, orbit.cz_ambient % 2, cover, action)
 
 
 @dataclass(frozen=True)
@@ -207,46 +173,6 @@ class PunctureProfile:
     def even_punctures(self) -> int:
         """Punctures whose normal asymptotic operator has even index."""
         return self.pos[1] + self.neg[1]
-
-    def is_single_hypersurface(self) -> bool:
-        """All positive ends over one critical point, ditto negative."""
-        return (sum(1 for c in self.pos if c) <= 1
-                and sum(1 for c in self.neg if c) <= 1)
-
-
-@dataclass(frozen=True)
-class CurveIndexData:
-    """Everything the Fredholm index formula consumes.
-
-    ``half_dim`` is n for a (2n+2)-dimensional symplectization.  The
-    asymptotic lists carry orbit symbols; their Conley-Zehnder indices
-    are resolved through the shift rules for the chosen ambient.
-    """
-
-    half_dim: int
-    euler_char: int
-    rel_chern: int
-    positive: Tuple[OrbitSymbol, ...] = ()
-    negative: Tuple[OrbitSymbol, ...] = ()
-
-    def check_euler(self, genus: int):
-        punctures = len(self.positive) + len(self.negative)
-        expected = 2 - 2 * genus - punctures
-        if self.euler_char != expected:
-            raise ConfigurationError(
-                "Euler characteristic %d does not match genus %d with %d "
-                "punctures" % (self.euler_char, genus, punctures))
-
-
-def fredholm_index(c: CurveIndexData, ambient: str = "M",
-                   cover_threshold: Optional[int] = None) -> int:
-    """Fredholm index (n-2)*chi + 2*c1 + sum(CZ+) - sum(CZ-)."""
-    cz_plus = sum(cz_resolved(o, ambient, cover_threshold)
-                  for o in c.positive)
-    cz_minus = sum(cz_resolved(o, ambient, cover_threshold)
-                   for o in c.negative)
-    return ((c.half_dim - 2) * c.euler_char + 2 * c.rel_chern
-            + cz_plus - cz_minus)
 
 
 def fredholm_index_from_cz(half_dim: int, euler_char: int, rel_chern: int,

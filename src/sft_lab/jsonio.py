@@ -17,6 +17,8 @@ import tempfile
 from fractions import Fraction
 from typing import Any
 
+from .errors import ValidationError
+
 SCHEMA_VERSION = 1
 
 
@@ -71,5 +73,10 @@ def write_document(path: str, obj: Any):
 
 
 def read_document(path: str) -> Any:
+    """Parse a JSON input; text that is not JSON is invalid input."""
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise ValidationError("%s is not a JSON document: %s"
+                                  % (path, exc))

@@ -1,9 +1,7 @@
 """Model data for the five-dimensional product contact manifold.
 
-Closed Reeb orbits of low action sit over critical points of a Morse
-function on the dividing surface; on the left side of the dividing set
-they also carry a closed geodesic class of the base, on the right side
-a critical point of a Morse function on the base.  Leaves of the
+Orbit types and their Conley-Zehnder indices live in ``indexcalc``;
+this module holds the leaves and the model configuration.  Leaves of the
 holomorphic foliation come in three kinds: cylindrical over a critical
 point, flow-line leaves over an index-one flow segment staying on one
 side, and page-like leaves over a flow segment crossing the dividing
@@ -20,84 +18,11 @@ covers of a single end fit the action budget but nothing larger does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from .errors import ConfigurationError
-from .indexcalc import surface_shift
-
-SIGMA_MIN = "min"          # index 0, left piece
-SIGMA_HYP_LEFT = "hyp-"    # index 1, left piece
-SIGMA_HYP_RIGHT = "hyp+"   # index 1, right piece
-SIGMA_MAX = "max"          # index 2, right piece
-
-SIGMA_INDEX = {SIGMA_MIN: 0, SIGMA_HYP_LEFT: 1, SIGMA_HYP_RIGHT: 1,
-               SIGMA_MAX: 2}
-SIGMA_SIDE = {SIGMA_MIN: "left", SIGMA_HYP_LEFT: "left",
-              SIGMA_HYP_RIGHT: "right", SIGMA_MAX: "right"}
-
-BASE_MIN = "m"             # base Morse index 0
-BASE_SADDLE = "s"          # base Morse index 1
-BASE_MAX = "M"             # base Morse index 2
-BASE_INDEX = {BASE_MIN: 0, BASE_SADDLE: 1, BASE_MAX: 2}
-
-
-@dataclass(frozen=True, order=True)
-class OrbitType:
-    """Type of a closed orbit: surface critical point, base datum, cover.
-
-    Left orbits carry a geodesic class implicitly (one class per
-    orientation in the fixture); right orbits carry the base critical
-    point.  The ambient Conley-Zehnder index adds the ``surface_shift``
-    of the surface critical point to the leaf value.
-    """
-
-    sigma: str
-    base: Optional[str] = None
-    cover: int = 1
-
-    def __post_init__(self):
-        if self.sigma not in SIGMA_INDEX:
-            raise ConfigurationError("unknown surface critical type %r"
-                                     % (self.sigma,))
-        if self.side == "right":
-            if self.base not in BASE_INDEX:
-                raise ConfigurationError("right orbits need a base point")
-        else:
-            if self.base is not None:
-                raise ConfigurationError("left orbits carry no base point")
-        if self.cover < 1:
-            raise ConfigurationError("cover must be positive")
-
-    @property
-    def side(self) -> str:
-        return SIGMA_SIDE[self.sigma]
-
-    @property
-    def cz_leaf(self) -> int:
-        if self.side == "left":
-            return 0
-        return BASE_INDEX[self.base] - 1
-
-    @property
-    def cz_ambient(self) -> int:
-        return self.cz_leaf + surface_shift(self.sigma_index)
-
-    @property
-    def sigma_index(self) -> int:
-        return SIGMA_INDEX[self.sigma]
-
-    def action(self, cfg: "ModelConfig") -> Fraction:
-        unit = (cfg.left_action_unit if self.side == "left"
-                else cfg.right_action_unit)
-        return unit * self.cover
-
-    def label(self) -> str:
-        core = self.sigma if self.base is None else \
-            "%s;%s" % (self.sigma, self.base)
-        return core if self.cover == 1 else "%s^%d" % (core, self.cover)
-
 
 # Leaf hypersurface kinds.  Flow segments are named source:sink in the
 # surface Morse function; page-like leaves cross the dividing set.

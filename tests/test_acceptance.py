@@ -29,12 +29,12 @@ from sft_lab.cobracket import (ClassRegistry, StringTopology, TensorSum,
 from sft_lab.covers import (double_point_budget, enumerate_branch_profiles,
                             super_rigidity_verdict, total_branching)
 from sft_lab import enumerator
-from sft_lab.enumerator import (enumerate_buildings, is_sporadic,
-                                model_count_table_entries, obstruction_data,
-                                pair_cancellation, sporadic_signature)
+from sft_lab.enumerator import (component_menu, enumerate_buildings,
+                                is_sporadic, model_count_table_entries,
+                                obstruction_data, pair_cancellation,
+                                sporadic_signature)
 from sft_lab.errors import TrivialClassError
-from sft_lab.indexcalc import (CriticalPoint, OrbitSymbol, PunctureProfile,
-                               automatic_transversality, cz_in_model,
+from sft_lab.indexcalc import (PunctureProfile, automatic_transversality,
                                kernel_bound, normal_index, obstruction_rank)
 from sft_lab.jsonio import canonical_dumps, read_document
 from sft_lab.model import paper_model
@@ -111,12 +111,12 @@ def test_criterion_2_twin_cancellation(classification):
 
 def test_criterion_3_index_suite(classification):
     t0 = time.monotonic()
-    # Conley-Zehnder shifts on the full grid
-    for base in range(-5, 6):
-        for idx, shift in ((0, 1), (1, 0), (2, 1)):
-            o = OrbitSymbol(id="o", side="spine",
-                            crit_sigma=CriticalPoint("p", idx), cz_base=base)
-            assert cz_in_model(o, cover_threshold=2) == base + shift
+    # Conley-Zehnder shifts on every orbit type of the model's menu
+    shifts = dict(((0, 1), (1, 0), (2, 1)))
+    orbits = {o for c in component_menu(paper_model()) for o in c.pos + c.neg}
+    for o in orbits:
+        assert o.cz_ambient == o.cz_leaf + shifts[o.sigma_index]
+    assert {o.sigma_index for o in orbits} == set(shifts)
     # sporadic normal operator index
     assert normal_index(PunctureProfile(genus=1, pos=(1, 0, 0))) == 0
     # automatic transversality fails in positive genus

@@ -3,28 +3,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sft_lab.algebra import (ODD, EVEN, AlgebraElement, CurveCountTable,
                              Generator, GeneratorSet, MONOMIAL_ONE, Truncation,
                              apply_D, apply_D_exact, apply_Dk,
                              basis_monomials, check_square_zero,
-                             combinatorial_factor, default_parity,
-                             derive_generator, monomial_gen,
-                             multiply_elements, multiply_generator,
-                             multiply_monomials, solve_exact, torsion_order)
-from sft_lab.errors import SquareZeroError, ValidationError
-from sft_lab.indexcalc import left_orbit, right_orbit
+                             combinatorial_factor, derive_generator,
+                             monomial_gen, multiply_elements,
+                             multiply_generator, multiply_monomials,
+                             solve_exact, torsion_order)
+from sft_lab.errors import ConfigurationError, SquareZeroError, ValidationError
 
 
 def make_gens(spec):
     """spec: iterable of (id, parity, cover, action)."""
-    orbits = []
-    override = {}
-    for gid, parity, cover, action in spec:
-        orbits.append(left_orbit(gid, 0, cover=cover,
-                                 action=Fraction(action)))
-        override[gid] = parity
-    return GeneratorSet.from_orbits(orbits, parity_override=override)
+    return GeneratorSet(Generator(gid, parity, cover, Fraction(action))
+                        for gid, parity, cover, action in spec)
 
 
 GENS = make_gens([("a", ODD, 1, 1), ("b", EVEN, 1, 1), ("c", ODD, 2, 2),
@@ -37,6 +33,115 @@ def element(*pairs):
     for coeff, mono in pairs:
         out.add_term(mono, Fraction(coeff))
     return out
+
+
+class TestGenerators:
+    def test_fields_feed_kappa_action_and_parity(self):
+        assert (GENS.parity("c"), GENS.kappa("c"), GENS.action("c")) == \
+            (ODD, 2, Fraction(2))
+        assert Generator("x", EVEN) == Generator("x", EVEN, 1, Fraction(1))
+
+    @pytest.mark.parametrize("bad", [dict(parity=2), dict(cover=0),
+                                     dict(action=Fraction(0)),
+                                     dict(action=Fraction(-1))])
+    def test_invalid_fields_rejected(self, bad):
+        fields = dict(id="x", parity=ODD, cover=1, action=Fraction(1))
+        fields.update(bad)
+        with pytest.raises(ConfigurationError):
+            Generator(**fields)
+
+    def test_from_orbits_overrides_parity_by_id(self):
+        gens = GeneratorSet.from_orbits(
+            [Generator("p", ODD, 2, Fraction(3)), Generator("q", ODD)],
+            parity_override={"p": EVEN})
+        assert (gens.parity("p"), gens.kappa("p"), gens.action("p")) == \
+            (EVEN, 2, Fraction(3))
+        assert gens.parity("q") == ODD
+
+
+@st.composite
+def generator_sets(draw):
+    """A random GeneratorSet with at least one odd generator."""
+    n = draw(st.integers(1, 5))
+    parities = draw(st.lists(st.sampled_from((EVEN, ODD)),
+                             min_size=n, max_size=n))
+    parities[0] = ODD
+    return GeneratorSet(
+        Generator("g%d" % i, p, draw(st.integers(1, 3)),
+                  Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 3))))
+        for i, p in enumerate(parities))
+
+
+def monomials(gens):
+    """Monomials of ``gens``: odd generators appear at most once."""
+    def build(hbar, exps):
+        return (hbar, tuple((g, e) for g, e in zip(list(gens), exps) if e))
+    exps = st.tuples(*[st.integers(0, 1 if gens.parity(g) == ODD else 2)
+                       for g in gens])
+    return st.builds(build, st.integers(0, 2), exps)
+
+
+def koszul_product(gens, *factors):
+    """Reference product of monomials: sort the concatenated letters,
+    with the sign (-1)^(|x||y|) for every inverted pair x, y."""
+    letters = [g for m in factors for g, e in m[1] for _ in range(e)]
+    odd = [g for g in letters if gens.parity(g) == ODD]
+    if len(odd) != len(set(odd)):
+        return AlgebraElement()
+    inversions = sum(gens.parity(x) * gens.parity(y)
+                     for i, x in enumerate(letters)
+                     for y in letters[i + 1:] if x > y)
+    word = tuple((g, letters.count(g)) for g in sorted(set(letters)))
+    hbar = sum(m[0] for m in factors)
+    return AlgebraElement({(hbar, word): Fraction((-1) ** inversions)})
+
+
+class TestAlgebraLaws:
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(st.data())
+    def test_multiplication_associates_with_koszul_signs(self, data):
+        gens = data.draw(generator_sets())
+        a, b, c = (data.draw(monomials(gens)) for _ in range(3))
+        s_ab, ab = multiply_monomials(gens, a, b)
+        s_bc, bc = multiply_monomials(gens, b, c)
+        left = AlgebraElement()
+        if ab is not None:
+            s, m = multiply_monomials(gens, ab, c)
+            if m is not None:
+                left.add_term(m, s_ab * s)
+        right = AlgebraElement()
+        if bc is not None:
+            s, m = multiply_monomials(gens, a, bc)
+            if m is not None:
+                right.add_term(m, s_bc * s)
+        assert left == right == koszul_product(gens, a, b, c)
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(st.data())
+    def test_graded_commutativity(self, data):
+        gens = data.draw(generator_sets())
+        a, b = data.draw(monomials(gens)), data.draw(monomials(gens))
+        s_ab, ab = multiply_monomials(gens, a, b)
+        s_ba, ba = multiply_monomials(gens, b, a)
+        assert ab == ba
+        if ab is None:
+            assert s_ab == s_ba == 0
+        else:
+            sign = -1 if gens.monomial_parity(a) * gens.monomial_parity(b) \
+                else 1
+            assert s_ab == sign * s_ba != 0
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(st.data())
+    def test_repeated_odd_generator_vanishes(self, data):
+        gens = data.draw(generator_sets())
+        m = data.draw(monomials(gens))
+        odd = [g for g in gens if gens.parity(g) == ODD]
+        g = data.draw(st.sampled_from(odd))
+        with_g = multiply_monomials(gens, monomial_gen(g), m)[1] or m
+        assert multiply_monomials(gens, monomial_gen(g), with_g) == (0, None)
+        if any(gens.parity(h) == ODD for h, _ in m[1]):
+            assert multiply_monomials(gens, m, m) == (0, None)
 
 
 class TestMonomialOps:

@@ -39,6 +39,7 @@ class TestEnumerateCommand:
         {"max_levels": True},           # bool for an int field
         {"allow_flowline_pants": 1},    # non-bool for a toggle
         {"action_threshold": True},     # bool for an action field
+        {"action_threshold": "1/x"},    # bad rational literal
     ])
     def test_wrongly_typed_config_is_validation_error(self, capsys, tmp_path,
                                                       config):
@@ -72,6 +73,17 @@ class TestIndexCommand:
     def test_no_operation_is_validation_error(self, capsys):
         code, _ = run(capsys, "index")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["index", "--kernel-bound", "x", "1"],
+        ["index", "--gluing-dim", "1", "1.5"],
+        ["rigidity", "--multiplicities", "1,x"],
+    ])
+    def test_non_integer_argument_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: argument" in capsys.readouterr().err
 
 
 class TestTorsionCommand:
@@ -115,6 +127,52 @@ class TestTorsionCommand:
         code, _ = run(capsys, "torsion", "--counts", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize("generators,rows,field", [
+        ([{"cz": 1}], [], "'id'"),
+        ([{"id": "q_i", "cz": "x"}], [], "'cz'"),
+        ([{"id": "q_i", "cover": 1.5}], [], "'cover'"),
+        ([{"id": "q_i", "action": "1/x"}], [], "'action'"),
+        ([{"id": "q_i"}], [{"positive": ["q_i"], "value": "1"}], "'genus'"),
+        ([{"id": "q_i"}], [{"genus": 0, "positive": ["q_i"],
+                            "value": "1/0"}], "'value'"),
+        ([{"id": "q_i"}], [{"genus": 0, "positive": "q_i",
+                            "value": "1"}], "'positive'"),
+        ([{"id": "q_i", "good": False}], [], "'good'"),
+    ])
+    def test_bad_table_field_is_named(self, capsys, tmp_path, generators,
+                                      rows, field):
+        counts = write_counts(tmp_path / "c.json", rows,
+                              generators=generators)
+        code = main(["torsion", "--counts", counts])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("invalid input:") and field in err
+
+    def test_bad_action_cap_is_named(self, capsys, tmp_path):
+        counts = write_counts(tmp_path / "c.json", [])
+        code = main(["torsion", "--counts", counts, "--action-cap", "x"])
+        assert code == 2
+        assert "--action-cap" in capsys.readouterr().err
+
+    def test_malformed_json_is_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("{nope")
+        code, _ = run(capsys, "torsion", "--counts", str(path))
+        assert code == 2
+
+    def test_internal_key_error_is_not_invalid_input(self, capsys, tmp_path,
+                                                     monkeypatch):
+        from sft_lab import cli
+
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "torsion_order", broken)
+        counts = write_counts(tmp_path / "c.json", [])
+        with pytest.raises(KeyError):
+            main(["torsion", "--counts", counts])
+        assert "invalid input" not in capsys.readouterr().err
+
 
 class TestCobracketCommand:
     def test_simple_class(self, capsys):
@@ -140,6 +198,17 @@ class TestCobracketCommand:
         assert saved["classes"]
         code, _ = run(capsys, "cobracket", "--word", "a1", "--registry", reg)
         assert code == 0
+
+
+    @pytest.mark.parametrize("registry", [[1, 2], {"classes": [5]},
+                                          {"classes": "a1"}])
+    def test_malformed_registry_is_validation_error(self, capsys, tmp_path,
+                                                    registry):
+        reg = tmp_path / "reg.json"
+        reg.write_text(json.dumps(registry))
+        code = main(["cobracket", "--word", "a1", "--registry", str(reg)])
+        assert code == 2
+        assert "registry" in capsys.readouterr().err
 
 
 class TestRigidityCommand:

@@ -1,16 +1,19 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from sft_lab.errors import (ConfigurationError, CoverThresholdError,
-                            InternalError)
-from sft_lab.indexcalc import (CriticalPoint, CurveIndexData, PunctureProfile,
-                               automatic_transversality, cz_in_model,
-                               cz_resolved, cz_right, fredholm_index,
+from sft_lab.enumerator import component_menu
+from sft_lab.errors import ConfigurationError, InternalError
+from sft_lab.indexcalc import (BASE_INDEX, BASE_MAX, BASE_MIN, BASE_SADDLE,
+                               SIGMA_HYP_LEFT, SIGMA_HYP_RIGHT, SIGMA_INDEX,
+                               SIGMA_MAX, SIGMA_MIN, OrbitType,
+                               PunctureProfile, automatic_transversality,
                                fredholm_index_from_cz, gluing_base_dim,
                                kernel_bound, left_orbit, normal_index,
                                obstruction_rank, regularity_transfer,
-                               right_orbit)
+                               right_orbit, surface_shift)
+from sft_lab.model import paper_model
 
 
 def brute_kernel_bound(c, G, limit=20):
@@ -26,69 +29,84 @@ def brute_kernel_bound(c, G, limit=20):
     return best
 
 
+def orbit_types(sigma_index, cover):
+    """Every orbit type over a surface critical point of the given index."""
+    out = []
+    for sigma, idx in sorted(SIGMA_INDEX.items()):
+        if idx != sigma_index:
+            continue
+        if sigma in (SIGMA_MIN, SIGMA_HYP_LEFT):
+            out.append(OrbitType(sigma, cover=cover))
+        else:
+            out.extend(OrbitType(sigma, base, cover) for base in BASE_INDEX)
+    return out
+
+
 class TestCzShifts:
     def test_hyperbolic_no_shift(self):
-        o = left_orbit("g", 1)
-        assert cz_in_model(o) == 0
+        assert OrbitType(SIGMA_HYP_LEFT).cz_ambient == 0
 
     def test_minimum_shifts_up(self):
-        o = left_orbit("g", 0)
-        assert cz_in_model(o) == 1
+        assert OrbitType(SIGMA_MIN).cz_ambient == 1
 
     def test_shift_is_additive_on_base(self):
-        o = right_orbit("f", 2, 2)
-        assert o.cz_base == 1
-        # base 3 with a maximum: constructed directly
-        o2 = right_orbit("f", 2, 2)
-        assert cz_in_model(o2) == o2.cz_base + 1
+        o = OrbitType(SIGMA_MAX, BASE_MAX)
+        assert o.cz_leaf == 1
+        assert o.cz_ambient == o.cz_leaf + 1
 
     @pytest.mark.parametrize("base", range(-5, 6))
     @pytest.mark.parametrize("cover", [1, 2, 3])
     def test_shift_rule_full_grid(self, base, cover):
-        from sft_lab.indexcalc import OrbitSymbol
+        # the shift depends on the surface critical point alone: it is
+        # the same on any leaf value and for every orbit type and cover
         for idx, shift in ((0, 1), (1, 0), (2, 1)):
-            o = OrbitSymbol(id="x", side="right",
-                            crit_sigma=CriticalPoint("p", idx),
-                            crit_base=CriticalPoint("q", 1),
-                            cover=cover, cz_base=base)
-            assert cz_in_model(o, cover_threshold=3) == base + shift
+            assert base + surface_shift(idx) == base + shift
+            for o in orbit_types(idx, cover):
+                assert o.cz_ambient == o.cz_leaf + shift
 
     def test_cover_threshold_violation(self):
-        o = left_orbit("g", 1, cover=4)
-        with pytest.raises(CoverThresholdError):
-            cz_in_model(o, cover_threshold=3)
+        # the menu is the one place covers are bounded: no orbit of any
+        # component exceeds the model's cover threshold, and the
+        # threshold is reached
+        for threshold in (1, 2):
+            menu = component_menu(paper_model(cover_threshold=threshold))
+            covers = {o.cover for c in menu for o in c.pos + c.neg}
+            assert max(covers) == threshold
 
 
 class TestCzRight:
     def test_hyperbolic_base_one(self):
-        o = right_orbit("f", 1, 1)
-        assert cz_right(o) == (0, 0)
+        o = OrbitType(SIGMA_HYP_RIGHT, BASE_SADDLE)
+        assert (o.cz_ambient, o.cz_leaf) == (0, 0)
 
     def test_maximum_base_two(self):
-        o = right_orbit("f", 2, 2)
-        assert cz_right(o) == (2, 1)
+        o = OrbitType(SIGMA_MAX, BASE_MAX)
+        assert (o.cz_ambient, o.cz_leaf) == (2, 1)
 
     def test_hyperbolic_base_zero(self):
-        o = right_orbit("f", 1, 0)
-        assert cz_right(o) == (-1, -1)
+        o = OrbitType(SIGMA_HYP_RIGHT, BASE_MIN)
+        assert (o.cz_ambient, o.cz_leaf) == (-1, -1)
 
     def test_left_orbit_rejected(self):
+        # a left orbit has no base critical point, a right one needs it
         with pytest.raises(ConfigurationError):
-            cz_right(left_orbit("g", 1))
+            OrbitType(SIGMA_HYP_LEFT, BASE_SADDLE)
+        with pytest.raises(ConfigurationError):
+            OrbitType(SIGMA_HYP_RIGHT)
+        with pytest.raises(ConfigurationError):
+            right_orbit("f", 0, 1)
 
 
 class TestFredholmIndex:
     def test_cylinder_two_right_hyperbolic_ends(self):
-        ends = (right_orbit("f1", 1, 1), right_orbit("f2", 1, 1))
-        c = CurveIndexData(half_dim=2, euler_char=0, rel_chern=0,
-                           positive=ends)
-        assert fredholm_index(c, ambient="M") == 0
+        ends = (OrbitType(SIGMA_HYP_RIGHT, BASE_SADDLE),) * 2
+        assert fredholm_index_from_cz(
+            2, 0, 0, [o.cz_ambient for o in ends], []) == 0
 
     def test_flow_line_cylinder_index_one(self):
-        c = CurveIndexData(half_dim=2, euler_char=0, rel_chern=0,
-                           positive=(left_orbit("g", 0),),
-                           negative=(left_orbit("g", 1),))
-        assert fredholm_index(c, ambient="M") == 1
+        pos, neg = OrbitType(SIGMA_MIN), OrbitType(SIGMA_HYP_LEFT)
+        assert fredholm_index_from_cz(2, 0, 0, [pos.cz_ambient],
+                                      [neg.cz_ambient]) == 1
 
     def test_half_dim_one_cylinder(self):
         assert fredholm_index_from_cz(1, 0, 0, [0, 0], []) == 0
@@ -106,11 +124,36 @@ class TestFredholmIndex:
         both = fredholm_index_from_cz(2, 0, 0, [1, 2, 4], [0, 1])
         assert both == a + b
 
-    def test_euler_consistency_check(self):
-        c = CurveIndexData(half_dim=2, euler_char=0, rel_chern=0,
-                           positive=(left_orbit("g", 0),))
-        with pytest.raises(ConfigurationError):
-            c.check_euler(genus=0)   # plane would need chi = 1
+
+# (sigma index, base index or None, cover) -> (cz_ambient, cz_leaf, parity);
+# the ambient and leaf values are the "M" and "W0" resolutions of the
+# two-type orbit model this type replaced, the parity its default grading
+CZ_PINS = [
+    ((0, None, c), (1, 0, 1)) for c in (1, 2, 3)] + [
+    ((1, None, c), (0, 0, 0)) for c in (1, 2, 3)] + [
+    ((1, 0, c), (-1, -1, 1)) for c in (1, 2, 3)] + [
+    ((1, 1, c), (0, 0, 0)) for c in (1, 2, 3)] + [
+    ((1, 2, c), (1, 1, 1)) for c in (1, 2, 3)] + [
+    ((2, 0, c), (0, -1, 0)) for c in (1, 2, 3)] + [
+    ((2, 1, c), (1, 0, 1)) for c in (1, 2, 3)] + [
+    ((2, 2, c), (2, 1, 0)) for c in (1, 2, 3)]
+
+LEFT = {0: SIGMA_MIN, 1: SIGMA_HYP_LEFT}
+RIGHT = {1: SIGMA_HYP_RIGHT, 2: SIGMA_MAX}
+BASE = {0: BASE_MIN, 1: BASE_SADDLE, 2: BASE_MAX}
+
+
+@pytest.mark.parametrize("point,pinned", CZ_PINS)
+def test_pinned_cz_values(point, pinned):
+    sigma_index, base_index, cover = point
+    if base_index is None:
+        o = OrbitType(LEFT[sigma_index], cover=cover)
+        g = left_orbit("x", sigma_index, cover=cover)
+    else:
+        o = OrbitType(RIGHT[sigma_index], BASE[base_index], cover)
+        g = right_orbit("x", sigma_index, base_index, cover=cover)
+    assert (o.cz_ambient, o.cz_leaf, g.parity) == pinned
+    assert (g.id, g.cover, g.action) == ("x", cover, Fraction(1))
 
 
 class TestNormalIndex:
@@ -217,21 +260,35 @@ class TestGluingBaseDim:
 
 class TestOrbitSymbolInvariants:
     def test_left_orbits_noncontractible_and_base_zero(self):
-        o = left_orbit("g", 0)
-        assert not o.contractible and o.cz_base == 0
+        # left orbits carry no base point and a vanishing leaf index
+        for sigma in (SIGMA_MIN, SIGMA_HYP_LEFT):
+            for cover in (1, 2, 3):
+                o = OrbitType(sigma, cover=cover)
+                assert o.side == "left" and o.base is None
+                assert o.cz_leaf == 0
 
     def test_cover_action_scaling_helper(self):
-        from fractions import Fraction
-        o = left_orbit("g", 0, cover=3, action=Fraction(3))
-        assert o.action == 3 * Fraction(1)
+        cfg = paper_model()
+        assert OrbitType(SIGMA_MIN, cover=3).action(cfg) == 3 * Fraction(1)
+        g = left_orbit("g", 0, cover=3, action=Fraction(3))
+        assert g.cover == 3 and g.action == 3 * Fraction(1)
 
     def test_right_orbit_base_index(self):
-        assert right_orbit("f", 1, 2).cz_base == 1
+        assert OrbitType(SIGMA_HYP_RIGHT, BASE_MAX).cz_leaf == 1
+        assert right_orbit("f", 1, 2).parity == 1
 
     def test_resolved_ambient_values(self):
-        o = right_orbit("f", 2, 2)
-        assert cz_resolved(o, "M") == 2
-        assert cz_resolved(o, "W0") == 1
-        g = left_orbit("g", 0)
-        assert cz_resolved(g, "M") == 1
-        assert cz_resolved(g, "W0") == 0
+        o = OrbitType(SIGMA_MAX, BASE_MAX)
+        assert o.cz_ambient == 2
+        assert o.cz_leaf == 1
+        g = OrbitType(SIGMA_MIN)
+        assert g.cz_ambient == 1
+        assert g.cz_leaf == 0
+
+    def test_bad_indices_rejected(self):
+        for bad in (lambda: left_orbit("g", 2),
+                    lambda: right_orbit("f", 0, 1),
+                    lambda: right_orbit("f", 1, 3),
+                    lambda: left_orbit("g", 0, cover=0)):
+            with pytest.raises(ConfigurationError):
+                bad()
