@@ -378,13 +378,12 @@ def _apply_entry(gens: GeneratorSet, key: CountKey, value: Fraction,
     return out
 
 
-def apply_Dk(k: int, counts: CurveCountTable, x: AlgebraElement,
-             trunc: Optional[Truncation] = None) -> AlgebraElement:
+def apply_Dk(k: int, counts: CurveCountTable,
+             x: AlgebraElement) -> AlgebraElement:
     """Order-k part of the differential, without its h^(k-1) factor.
 
     Table entries whose positive-orbit count plus genus differs from k
-    are skipped.  When a truncation is supplied, monomials outside the
-    window are dropped from the result.
+    are skipped.
     """
     if k < 1:
         raise ValidationError("the differential starts at order 1")
@@ -397,9 +396,6 @@ def apply_Dk(k: int, counts: CurveCountTable, x: AlgebraElement,
         part = _apply_entry(gens, key, value, x)
         for m, c in part.terms.items():
             out.add_term(m, c)
-    if trunc is not None:
-        out = AlgebraElement({m: c for m, c in out.terms.items()
-                              if trunc.admits(gens, m)})
     return out
 
 

@@ -30,11 +30,28 @@ from .errors import ConfigurationError
 from .words import (BoundaryOrder, Ray, SurfaceGroup, Word, inverse,
                     rotations, word_key)
 
+# bracket joins lift pairs whose relative element is prefix + connector
+# + prefix^-1 over reduced connectors up to this length; no bound shows
+# that every crossing is reached, so the radius is not certified
+CONNECTOR_RADIUS = 2
+
 
 def _power(w, k: int):
     if k >= 0:
         return w * k
     return inverse(w) * (-k)
+
+
+def _reduced_words(rank: int, radius: int) -> List[Word]:
+    """Freely reduced words of length <= radius, shortest first."""
+    letters = [x for k in range(1, rank + 1) for x in (k, -k)]
+    words: List[Word] = [()]
+    frontier: List[Word] = [()]
+    for _ in range(radius):
+        frontier = [v + (x,) for v in frontier for x in letters
+                    if not (v and v[-1] == -x)]
+        words.extend(frontier)
+    return words
 
 
 class TensorSum:
@@ -98,7 +115,7 @@ class StringTopology:
         self.group = group
         self.order = BoundaryOrder(group)
         self._ray_cache: Dict[Word, Tuple[Ray, Ray]] = {}
-        self._balls: Dict[int, List[Word]] = {}
+        self._connectors = _reduced_words(group.rank, CONNECTOR_RADIUS)
 
     # -- lifts ------------------------------------------------------------
 
@@ -240,26 +257,7 @@ class StringTopology:
 
     # -- bracket -------------------------------------------------------------
 
-    def _connector_ball(self, radius: int) -> List[Word]:
-        if radius not in self._balls:
-            letters = [x for k in range(1, self.group.rank + 1)
-                       for x in (k, -k)]
-            words: List[Word] = [()]
-            frontier: List[Word] = [()]
-            for _ in range(radius):
-                nxt = []
-                for v in frontier:
-                    for x in letters:
-                        if v and v[-1] == -x:
-                            continue
-                        nxt.append(v + (x,))
-                words.extend(nxt)
-                frontier = nxt
-            self._balls[radius] = words
-        return self._balls[radius]
-
-    def bracket(self, w1: Word, w2: Word, connector_radius: int = 2
-                ) -> TensorSum:
+    def bracket(self, w1: Word, w2: Word) -> TensorSum:
         """Signed sum of joined loops over crossings of the two classes.
 
         Lift pairs are enumerated as (base lift of the first word,
@@ -276,7 +274,7 @@ class StringTopology:
         taken: Dict[Word, int] = {}
         for i in range(len(w1)):
             for j in range(len(w2)):
-                for s in self._connector_ball(connector_radius):
+                for s in self._connectors:
                     g = w1[:i] + s + inverse(w2[:j])
                     conj = group.reduce_word(g + w2 + inverse(g))
                     # common axis = commuting elements in a surface group

@@ -155,7 +155,7 @@ class Building:
         return (self.levels, self.edges)
 
 
-def twin(cfg: ModelConfig, b: Building) -> Building:
+def twin(b: Building) -> Building:
     """Flip the twin flavor of every non-cylindrical leaf."""
     if not b.twistable:
         raise NoTwinError("configuration has no flow-line or page-like leaf")
@@ -454,6 +454,9 @@ def enumerate_buildings(cfg: ModelConfig, genus: int, ends: int
     ``cfg`` runs it and buckets its results by (genus, ends), later
     calls read their bucket.  Each call returns a fresh list.
     """
+    if genus < 0 or ends < 0:
+        raise ConfigurationError("genus and end count must be >= 0, got "
+                                 "%d and %d" % (genus, ends))
     if genus + ends > 2:
         raise ConfigurationError("enumeration covers genus + ends <= 2")
     return list(_search(cfg).get((genus, ends), ()))
@@ -650,7 +653,7 @@ def obstruction_data(b: Building) -> List[ObstructionAudit]:
     return out
 
 
-def sporadic_signature(cfg: ModelConfig) -> Building:
+def sporadic_signature() -> Building:
     """The canonical unpaired configuration: a one-ended genus-one curve
     in the cylindrical leaf over the minimum."""
     comp = Component(leaf=Leaf("cyl", SIGMA_MIN), genus=1,
@@ -658,8 +661,8 @@ def sporadic_signature(cfg: ModelConfig) -> Building:
     return Building(levels=((comp,),), edges=())
 
 
-def is_sporadic(cfg: ModelConfig, b: Building) -> bool:
-    return b.key() == sporadic_signature(cfg).key()
+def is_sporadic(b: Building) -> bool:
+    return b.key() == sporadic_signature().key()
 
 
 @dataclass(frozen=True)
@@ -668,7 +671,7 @@ class Pairing:
     unpaired: Tuple[Building, ...]
 
 
-def pair_cancellation(cfg: ModelConfig, buildings: Sequence[Building],
+def pair_cancellation(buildings: Sequence[Building],
                       convention: str = "twins-identified") -> Pairing:
     """Partition configurations into cancelling twin pairs and leftovers.
 
@@ -686,7 +689,7 @@ def pair_cancellation(cfg: ModelConfig, buildings: Sequence[Building],
     if convention == "twins-identified":
         for b in buildings:
             if b.twistable:
-                pairs.append((b, twin(cfg, b)))
+                pairs.append((b, twin(b)))
             else:
                 unpaired.append(b)
         return Pairing(tuple(pairs), tuple(unpaired))
@@ -699,7 +702,7 @@ def pair_cancellation(cfg: ModelConfig, buildings: Sequence[Building],
             unpaired.append(b)
             done.add(b.key())
             continue
-        partner = twin(cfg, b)
+        partner = twin(b)
         got = by_key.get(partner.key())
         if got is None:
             raise ConfigurationError(
@@ -710,14 +713,13 @@ def pair_cancellation(cfg: ModelConfig, buildings: Sequence[Building],
     return Pairing(tuple(pairs), tuple(unpaired))
 
 
-def expand_flavors(cfg: ModelConfig, buildings: Sequence[Building]
-                   ) -> List[Building]:
+def expand_flavors(buildings: Sequence[Building]) -> List[Building]:
     """Both twin flavors of every twistable configuration."""
     out = []
     for b in buildings:
         out.append(b)
         if b.twistable:
-            out.append(twin(cfg, b))
+            out.append(twin(b))
     return out
 
 
@@ -765,7 +767,7 @@ def building_to_dict(cfg: ModelConfig, b: Building,
                             Fraction(0)),
         "constraints_ok": ok,
         "twistable": b.twistable,
-        "sporadic": is_sporadic(cfg, b),
+        "sporadic": is_sporadic(b),
         "obstruction": [
             {"component": a.component, "normal_index": a.normal_index,
              "dim_ker": a.dim_ker, "rank": a.rank, "regular": a.regular}
@@ -780,9 +782,9 @@ def classification_document(cfg: ModelConfig, genus: int, ends: int,
                             convention: str = "twins-identified") -> Dict:
     listed = enumerate_buildings(cfg, genus, ends)
     if convention == "twins-distinct":
-        listed = expand_flavors(cfg, listed)
+        listed = expand_flavors(listed)
         listed = sorted(listed, key=_sort_key)
-    pairing = pair_cancellation(cfg, listed, convention)
+    pairing = pair_cancellation(listed, convention)
     entries = [building_to_dict(cfg, b, ident=i)
                for i, b in enumerate(listed)]
     return {
@@ -796,7 +798,7 @@ def classification_document(cfg: ModelConfig, genus: int, ends: int,
             "pairs": len(pairing.pairs),
             "unpaired": len(pairing.unpaired),
             "sporadic": sum(1 for b in pairing.unpaired
-                            if is_sporadic(cfg, b)),
+                            if is_sporadic(b)),
         },
     }
 
@@ -820,7 +822,7 @@ def model_count_table_entries(cfg: ModelConfig, sporadic_value: Fraction
             "positive": ["q_" + o.label() for o in b.top_ends],
             "negative": [],
         }
-        if is_sporadic(cfg, b):
+        if is_sporadic(b):
             rows.append(dict(key, value=sporadic_value,
                              origin="sporadic"))
         else:

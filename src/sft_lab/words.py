@@ -3,11 +3,19 @@
 Letters are nonzero integers: generator i of the standard presentation
 is +i, its inverse -i; a genus-g group has generators 1..2g and the
 single relator [1,2][3,4]...[2g-1,2g].  The relator has length 4g and
-pieces of length one, so length reduction by relator replacement
-(replace a subword that is more than half of a relator cycle by the
-inverse of its complement) computes geodesic representatives, decides
-triviality, and, applied cyclically together with half-length swaps,
-decides conjugacy.
+pieces of length one, so rewriting by relator segments decides the
+word and conjugacy problems.  One kernel does all of it, for based
+words and for cyclic words alike:
+
+* ``_rewrites`` scans a word for relator segments of given lengths, at
+  its subwords (based) or at the windows of the doubled word (cyclic),
+  and returns the words with each segment replaced by its complement;
+* ``_shorten`` is Dehn's algorithm: it replaces segments of more than
+  half a relator until none is left, which gives a geodesic word
+  (``reduce_word``) or a geodesic cyclic word;
+* ``_closure`` collects the spellings reached by half-relator swaps,
+  with rotations when cyclic; the least of them is the canonical
+  element (``canonical_element``) or class (``canonical_class``).
 
 The second half of the module orders ends of the Cayley tiling on the
 boundary circle.  The link of a vertex is a single cycle of the 4g
@@ -29,11 +37,10 @@ module-wide by ``_normalize_ray_cached``, keyed by the group's value
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import ConfigurationError, InternalError, TrivialClassError
 
@@ -68,13 +75,9 @@ def rotations(word: Sequence[int]) -> List[Word]:
     return [w[i:] + w[:i] for i in range(len(w))]
 
 
-def letter_key(x: int) -> int:
-    """Total order on letters: 1, -1, 2, -2, ..."""
-    return 2 * abs(x) - (1 if x > 0 else 0)
-
-
 def word_key(word: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(letter_key(x) for x in word)
+    """Sort key of a word, letters ordered 1, -1, 2, -2, ..."""
+    return tuple([2 * x - 1 if x > 0 else -2 * x for x in word])
 
 
 def parse_letters(text: str, genus: int) -> Word:
@@ -172,39 +175,91 @@ class SurfaceGroup:
     def segments(self) -> Dict[Word, Word]:
         return self._relator_segments()
 
-    # -- Length reduction ------------------------------------------------
+    # -- Relator-segment rewriting -----------------------------------------
 
-    def _replace_long_segments(self, word: Word, min_len: int
-                               ) -> Optional[Word]:
-        """One replacement of a relator segment of length >= min_len."""
-        segs = self.segments
-        L = self.relator_length
+    def _rewrites(self, word: Word, lengths: Sequence[int], cyclic: bool,
+                  first: bool) -> List[Word]:
+        """Rewrites of ``word`` at relator segments of the given lengths.
+
+        A segment of length k > half is replaced by its shorter
+        complement, one of length half by its equally long complement.
+        Based words are scanned at ``word[start:start+length]`` and
+        rewritten with ``free_reduce``; cyclic words are scanned at every
+        window of ``word + word`` and rewritten, starting at the
+        replacement, with ``cyclic_reduce``.  Lengths are tried in the
+        given order; with ``first`` the scan stops at the first hit.
+        """
+        get = self.segments.get
         n = len(word)
-        for length in range(min(L, n), min_len - 1, -1):
-            for start in range(n - length + 1):
-                piece = word[start:start + length]
-                repl = segs.get(piece)
-                if repl is not None and len(repl) < length:
-                    return free_reduce(word[:start] + repl
-                                       + word[start + length:])
-        return None
+        text = word + word if cyclic else word
+        out: List[Word] = []
+        for length in lengths:
+            if length > n:
+                continue
+            for start in range(n if cyclic else n - length + 1):
+                repl = get(text[start:start + length])
+                if repl is None:
+                    continue
+                if cyclic:
+                    out.append(cyclic_reduce(
+                        repl + text[start + length:start + n]))
+                else:
+                    out.append(free_reduce(word[:start] + repl
+                                           + word[start + length:]))
+                if first:
+                    return out
+        return out
+
+    def _shorten(self, word: Word, cyclic: bool) -> Word:
+        """Dehn's algorithm on a freely reduced word.
+
+        Replaces the first, longest relator segment of more than half a
+        relator by its complement until no such segment is left.  A
+        cyclic word is cyclically reduced first.
+        """
+        if cyclic:
+            word = cyclic_reduce(word)
+        half = self.relator_length // 2
+        while True:
+            found = self._rewrites(
+                word, range(min(len(word), self.relator_length), half, -1),
+                cyclic, True)
+            if not found:
+                return word
+            word = found[0]
+
+    def _closure(self, word: Word, cyclic: bool):
+        """Closure of a Dehn-reduced word under half-relator swaps.
+
+        Returns ("closure", spellings) when every swap keeps the length,
+        with all rotations of each spelling when ``cyclic``, or
+        ("shorter", word) as soon as a swap exposes a cancellation,
+        which means the input was not minimal.  Spellings are visited
+        breadth first; a cyclic word is scanned at one rotation, since
+        its scan covers every window.
+        """
+        half = self.relator_length // 2
+        seen = set(rotations(word)) if cyclic else {word}
+        todo = [word]
+        for v in todo:
+            for cand in self._rewrites(v, (half,), cyclic, False):
+                if len(cand) < len(v):
+                    return "shorter", cand
+                if cand not in seen:
+                    seen.update(rotations(cand) if cyclic else (cand,))
+                    todo.append(cand)
+        return "closure", seen
 
     def reduce_word(self, word: Sequence[int]) -> Word:
         """Geodesic representative of a based word."""
         w = free_reduce(word)
         cache = self._memo_reduce
         got = cache.get(w)
-        if got is not None:
-            return got
-        key = w
-        half = self.relator_length // 2
-        while True:
-            shorter = self._replace_long_segments(w, half + 1)
-            if shorter is None:
-                if len(cache) < MEMO_CAP:
-                    cache[key] = w
-                return w
-            w = shorter
+        if got is None:
+            got = self._shorten(w, False)
+            if len(cache) < MEMO_CAP:
+                cache[w] = got
+        return got
 
     def is_trivial(self, word: Sequence[int]) -> bool:
         return not self.reduce_word(word)
@@ -224,148 +279,60 @@ class SurfaceGroup:
         got = cache.get(w)
         if got is not None:
             return got
-        key = w
-        half = self.relator_length // 2
-        segs = self.segments
-        while True:
-            seen = {w}
-            frontier = [w]
-            shorter = None
-            while frontier and shorter is None:
-                nxt = []
-                for v in frontier:
-                    for start in range(len(v) - half + 1):
-                        piece = v[start:start + half]
-                        repl = segs.get(piece)
-                        if repl is None or len(repl) != half:
-                            continue
-                        cand = free_reduce(v[:start] + repl
-                                           + v[start + half:])
-                        if len(cand) < len(v):
-                            # the swap exposed a cancellation: the word
-                            # was not minimal after all
-                            shorter = cand
-                            break
-                        if cand not in seen:
-                            seen.add(cand)
-                            nxt.append(cand)
-                    if shorter is not None:
-                        break
-                frontier = nxt
-            if shorter is None:
-                break
-            w = self.reduce_word(shorter)
-        result = min(seen, key=word_key)
+        kind, found = self._closure(w, False)
+        while kind == "shorter":
+            kind, found = self._closure(self.reduce_word(found), False)
+        result = min(found, key=word_key)
         if len(cache) < MEMO_CAP:
-            for v in seen:
+            for v in found:
                 cache[v] = result
         return result
-
-    # -- Conjugacy-class canonical form ----------------------------------
-
-    def _cyclic_shorten(self, word: Word) -> Word:
-        half = self.relator_length // 2
-        w = cyclic_reduce(word)
-        while True:
-            if not w:
-                return w
-            doubled = w + w
-            n = len(w)
-            found = None
-            segs = self.segments
-            for length in range(min(len(w), self.relator_length), half, -1):
-                for start in range(n):
-                    if length > n:
-                        continue
-                    piece = doubled[start:start + length]
-                    repl = segs.get(piece)
-                    if repl is not None and len(repl) < length:
-                        found = cyclic_reduce(
-                            repl + doubled[start + length:start + n])
-                        break
-                if found is not None:
-                    break
-            if found is None:
-                return w
-            w = found
-
-    def _half_swap_closure(self, word: Word):
-        """Closure of a cyclic word under half-relator swaps.
-
-        Returns ("closure", spellings) when all swaps preserve the
-        length, or ("shorter", word) as soon as some swap exposes a
-        cyclic cancellation, which means the input was not minimal.
-        """
-        half = self.relator_length // 2
-        segs = self.segments
-        seen = set()
-        frontier = set(rotations(word)) or {word}
-        while frontier:
-            seen |= frontier
-            nxt = set()
-            for w in frontier:
-                n = len(w)
-                doubled = w + w
-                for start in range(n):
-                    if half > n:
-                        continue
-                    piece = doubled[start:start + half]
-                    repl = segs.get(piece)
-                    if repl is not None and len(repl) == half:
-                        cand = cyclic_reduce(
-                            repl + doubled[start + half:start + n])
-                        if len(cand) < n:
-                            return "shorter", cand
-                        for rot in rotations(cand):
-                            if rot not in seen:
-                                nxt.add(rot)
-            frontier = nxt
-        return "closure", frozenset(seen)
 
     def canonical_class(self, word: Sequence[int]) -> Word:
         """Canonical cyclic word of the conjugacy class.
 
-        Cyclically reduces, shortens through relator segments to a
-        geodesic cyclic word, then takes the least spelling over all
-        rotations and half-relator swaps.  Two words are conjugate in
-        the group exactly when their canonical classes agree.  The
-        trivial class is rejected.
+        Shortens the cyclically reduced word to a geodesic cyclic word,
+        then takes the least spelling over all rotations and
+        half-relator swaps.  Two words are conjugate in the group
+        exactly when their canonical classes agree.  The trivial class
+        is rejected.
         """
-        start = cyclic_reduce(free_reduce(word))
+        start = cyclic_reduce(word)
         cache = self._memo_canonical_class
         got = cache.get(start)
-        if got is not None:
-            if got == ():
-                raise TrivialClassError(
-                    "word represents the trivial loop class")
-            return got
-        w = self._cyclic_shorten(start)
-        while True:
-            if not w:
-                if len(cache) < MEMO_CAP:
-                    cache[start] = ()
-                raise TrivialClassError(
-                    "word represents the trivial loop class")
-            kind, payload = self._half_swap_closure(w)
-            if kind == "closure":
-                break
-            w = self._cyclic_shorten(payload)
-        result = min(payload, key=word_key)
-        if len(cache) < MEMO_CAP:
-            cache[start] = result
-        return result
-
-    def conjugate(self, a: Sequence[int], b: Sequence[int]) -> bool:
-        return self.canonical_class(a) == self.canonical_class(b)
+        if got is None:
+            got = ()
+            w = self._shorten(start, True)
+            while w:
+                kind, found = self._closure(w, True)
+                if kind == "closure":
+                    got = min(found, key=word_key)
+                    break
+                w = self._shorten(found, True)
+            if len(cache) < MEMO_CAP:
+                cache[start] = got
+        if got == ():
+            raise TrivialClassError("word represents the trivial loop class")
+        return got
 
     def inverse_class(self, word: Sequence[int]) -> Word:
         return self.canonical_class(inverse(word))
 
     def primitive_root(self, word: Sequence[int]) -> Tuple[Word, int]:
-        """(root class, multiplicity) with word conjugate to root^mult."""
+        """(root class, multiplicity) with word conjugate to root^mult.
+
+        If the class is c^m with m >= 2, take c cyclically geodesic.
+        Relator segments have pairwise distinct letters, so a segment in
+        the cyclic word c^m is no longer than c and is a cyclic subword
+        of c, hence not more than half a relator.  So c^m is
+        Dehn-reduced, hence geodesic, and the closure of the canonical
+        class, which holds every geodesic cyclic spelling of the class,
+        has the periodic spelling c^m.  A class with no periodic
+        spelling in its closure is therefore primitive.
+        """
         w = self.canonical_class(word)
         n = len(w)
-        kind, closure = self._half_swap_closure(w)
+        kind, closure = self._closure(w, True)
         if kind != "closure":
             raise InternalError("canonical class was not minimal")
         for spelling in sorted(closure, key=word_key):
@@ -375,17 +342,6 @@ class SurfaceGroup:
                 if spelling == spelling[period:] + spelling[:period]:
                     return (self.canonical_class(spelling[:period]),
                             n // period)
-        # no visibly periodic spelling: search short roots directly
-        for period in range(1, n // 2 + 1):
-            for m in range(2, n // max(period, 1) + 1):
-                for cand in itertools.product(
-                        [i for g in range(1, self.rank + 1)
-                         for i in (g, -g)], repeat=period):
-                    try:
-                        if self.canonical_class(cand * m) == w:
-                            return self.canonical_class(cand), m
-                    except TrivialClassError:
-                        continue
         return w, 1
 
     # -- Boundary circle -------------------------------------------------
@@ -465,32 +421,13 @@ class Ray:
         return all(self.letter(i) == other.letter(i) for i in range(bound))
 
 
-def _stream_clean(group: SurfaceGroup, tail: Word) -> bool:
-    """Is the periodic stream of this block already geodesic?
-
-    True when the block is cyclically freely reduced and no cyclic
-    subword is more than half a relator cycle.
-    """
-    n = len(tail)
-    if any(tail[i] == -tail[(i + 1) % n] for i in range(n)):
-        return False
-    half = group.relator_length // 2
-    doubled = tail + tail + tail
-    segs = group.segments
-    top = min(group.relator_length, 2 * n)
-    for length in range(half + 1, top + 1):
-        for start in range(n):
-            piece = doubled[start:start + length]
-            repl = segs.get(piece)
-            if repl is not None and len(repl) < length:
-                return False
-    return True
-
-
 @lru_cache(maxsize=200000)
 def _normalize_ray_cached(group: SurfaceGroup, prefix: Word, tail: Word
                           ) -> Tuple[Word, Word]:
-    if not prefix and _stream_clean(group, tail):
+    # a bare periodic stream is geodesic when its block is cyclically
+    # Dehn-reduced: a relator segment has distinct letters, so one in
+    # the stream is no longer than the block and is a cyclic window of it
+    if not prefix and group._shorten(tail, True) == tail:
         return (), tail
     L = group.relator_length
     period = len(tail)
@@ -559,13 +496,9 @@ class BoundaryOrder:
         return 1 if self.group.linear_after(cut, r1.letter(j),
                                             r2.letter(j)) else -1
 
-    def inside_arc(self, x: Ray, start: Ray, end: Ray) -> bool:
-        """Is x strictly inside the positively-swept arc from start to end?"""
-        return self.orient(start, x, end) == 1
-
     def linked(self, pair_a: Tuple[Ray, Ray], pair_b: Tuple[Ray, Ray]) -> bool:
         """Do the two endpoint pairs separate each other on the circle?"""
         a0, a1 = pair_a
-        inside = self.inside_arc(pair_b[0], a0, a1)
-        other = self.inside_arc(pair_b[1], a0, a1)
-        return inside != other
+        # is each end of pair_b inside the positively swept arc a0 -> a1?
+        return (self.orient(a0, pair_b[0], a1)
+                != self.orient(a0, pair_b[1], a1))

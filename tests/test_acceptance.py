@@ -96,14 +96,14 @@ def test_criterion_1_classification_counts(classification):
 def test_criterion_2_twin_cancellation(classification):
     cfg, runs, _ = classification
     everything = runs[(0, 2)] + runs[(1, 1)]
-    pairing = pair_cancellation(cfg, everything)
+    pairing = pair_cancellation(everything)
     assert len(pairing.unpaired) == 1
     lone = pairing.unpaired[0]
-    assert lone.key() == sporadic_signature(cfg).key()
+    assert lone.key() == sporadic_signature().key()
     assert lone.arithmetic_genus == 1
     assert lone.components[0].leaf.kind == "cyl"
     assert lone.components[0].leaf.name == "min"
-    cylinders = pair_cancellation(cfg, runs[(0, 2)])
+    cylinders = pair_cancellation(runs[(0, 2)])
     assert len(cylinders.unpaired) == 0
     report("PASS criterion 2: one unpaired configuration over all 35 "
            "(the minimum-leaf torus), none over the 6 cylinders")

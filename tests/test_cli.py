@@ -34,6 +34,13 @@ class TestEnumerateCommand:
         assert code == 3
         assert "consistency failure: component" in err
 
+    @pytest.mark.parametrize("genus, ends", [("-1", "3"), ("0", "-1")])
+    def test_negative_genus_or_ends_is_validation_error(self, capsys, genus,
+                                                        ends):
+        code = main(["enumerate", "--genus", genus, "--ends", ends])
+        assert code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("config", [
         {"max_levels": 2.5},            # float for an int field
         {"max_levels": True},           # bool for an int field

@@ -83,11 +83,11 @@ class TestAudits:
 class TestTwin:
     def test_involution(self):
         for b in CASE2 + [b for b in CASE3 if b.twistable]:
-            assert twin(CFG, twin(CFG, b)).key() == b.key()
+            assert twin(twin(b)).key() == b.key()
 
     def test_twin_flips_every_twistable_leaf(self):
         b = CASE2[0]
-        flipped = twin(CFG, b)
+        flipped = twin(b)
         for lv_a, lv_b in zip(b.levels, flipped.levels):
             for c_a, c_b in zip(lv_a, lv_b):
                 if c_a.leaf.twistable:
@@ -97,43 +97,42 @@ class TestTwin:
 
     def test_sporadic_has_no_twin(self):
         with pytest.raises(NoTwinError):
-            twin(CFG, sporadic_signature(CFG))
+            twin(sporadic_signature())
 
 
 class TestPairing:
     def test_all_thirty_five_leave_one_unpaired(self):
-        pairing = pair_cancellation(CFG, CASE2 + CASE3)
+        pairing = pair_cancellation(CASE2 + CASE3)
         assert len(pairing.unpaired) == 1
-        assert is_sporadic(CFG, pairing.unpaired[0])
+        assert is_sporadic(pairing.unpaired[0])
 
     def test_unpaired_matches_signature(self):
-        pairing = pair_cancellation(CFG, CASE3)
+        pairing = pair_cancellation(CASE3)
         (lone,) = pairing.unpaired
-        assert lone.key() == sporadic_signature(CFG).key()
+        assert lone.key() == sporadic_signature().key()
 
     def test_cylinders_fully_paired(self):
-        pairing = pair_cancellation(CFG, CASE2)
+        pairing = pair_cancellation(CASE2)
         assert pairing.unpaired == ()
         assert len(pairing.pairs) == len(CASE2)
 
     def test_sporadic_alone(self):
-        pairing = pair_cancellation(CFG, [sporadic_signature(CFG)])
+        pairing = pair_cancellation([sporadic_signature()])
         assert pairing.pairs == () and len(pairing.unpaired) == 1
 
     def test_twins_distinct_convention(self):
-        expanded = expand_flavors(CFG, CASE2)
-        pairing = pair_cancellation(CFG, expanded,
-                                    convention="twins-distinct")
+        expanded = expand_flavors(CASE2)
+        pairing = pair_cancellation(expanded, convention="twins-distinct")
         assert len(pairing.pairs) == 6 and pairing.unpaired == ()
 
     def test_twins_distinct_requires_closure(self):
         with pytest.raises(ConfigurationError):
-            pair_cancellation(CFG, CASE2, convention="twins-distinct")
+            pair_cancellation(CASE2, convention="twins-distinct")
 
 
 class TestSporadicSignature:
     def test_shape(self):
-        lone = sporadic_signature(CFG)
+        lone = sporadic_signature()
         assert lone.arithmetic_genus == 1
         assert lone.positive_end_count == 1
         (comp,) = lone.components
@@ -142,11 +141,11 @@ class TestSporadicSignature:
 
     def test_normal_index_vanishes(self):
         from sft_lab.indexcalc import normal_index
-        (comp,) = sporadic_signature(CFG).components
+        (comp,) = sporadic_signature().components
         assert normal_index(comp.profile) == 0
 
     def test_enumerated(self):
-        assert any(is_sporadic(CFG, b) for b in CASE3)
+        assert any(is_sporadic(b) for b in CASE3)
 
 
 def _sha256(text: str) -> str:
@@ -166,7 +165,7 @@ class TestDeterminism:
     def test_returned_list_is_a_copy(self):
         first = enumerate_buildings(CFG, 0, 2)
         first.clear()
-        first.append(sporadic_signature(CFG))
+        first.append(sporadic_signature())
         assert [b.key() for b in enumerate_buildings(CFG, 0, 2)] \
             == [b.key() for b in CASE2]
 

@@ -1,4 +1,5 @@
-"""The algebra is geometry-free: it knows generators, not orbits."""
+"""Structure guards: the algebra is geometry-free, and the word layer
+has one relator-segment scan."""
 
 import ast
 from pathlib import Path
@@ -8,11 +9,15 @@ import sft_lab
 GEOMETRY = {"indexcalc", "model", "enumerator", "cli"}
 
 
+def module_tree(module: str) -> ast.Module:
+    path = Path(sft_lab.__file__).parent / (module + ".py")
+    return ast.parse(path.read_text())
+
+
 def package_imports(module: str):
     """Names of the sft_lab modules ``module`` imports."""
-    path = Path(sft_lab.__file__).parent / (module + ".py")
     found = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(module_tree(module)):
         if isinstance(node, ast.ImportFrom):
             if node.level == 0 and node.module.split(".")[0] != "sft_lab":
                 continue
@@ -29,3 +34,28 @@ def test_algebra_imports_no_geometry():
     imports = package_imports("algebra")
     assert not imports & GEOMETRY
     assert imports == {"errors"}
+
+
+def attribute_readers(module: str, attr: str):
+    """Names of the functions of ``module`` that read ``.attr``; None
+    stands for a read outside any function."""
+    readers = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and node.attr == attr:
+            readers.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(module_tree(module), None)
+    return readers
+
+
+def test_words_has_one_segment_scan():
+    # every relator-segment rewrite, based or cyclic, goes through the
+    # one scan; a second reader of the table would be a near-copy of it
+    readers = attribute_readers("words", "segments")
+    assert "_rewrites" in readers
+    assert readers <= {"_rewrites", "segments", "_relator_segments"}
