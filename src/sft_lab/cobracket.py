@@ -1,23 +1,53 @@
 """Loop operations on a closed hyperbolic surface via boundary linking.
 
-Self-intersections of a free homotopy class are enumerated as linked
-pairs of rotations of its canonical cyclic word: rotation i determines
-the lift of the loop through the basepoint cell reading the i-th cyclic
-spelling, and two such lifts cross exactly when their endpoint pairs
-interleave on the boundary circle, decided exactly by the word
-combinatorics.  Resolving a crossing splits the cyclic word into its
-two subloops, which is the string cobracket; joining two loops at a
-crossing concatenates their rotated spellings, which is the string
-bracket.
+A free homotopy class is given by its canonical cyclic word w, which is
+cyclically geodesic.  Rotation i of w spells the lift of the loop that
+passes through the base vertex at position i of the word; it is a
+geodesic line of the Cayley graph with two distinct ends on the
+boundary circle.  Two lifts cross exactly when their end pairs
+interleave on the circle, which the word combinatorics decide exactly.
+
+Completeness.  The Cayley graph of the standard presentation is the
+1-skeleton of the {4g,4g} tiling, so it is planar.  Two geodesic lines
+in it whose ends interleave separate each other and so share a vertex.
+Translating that vertex to the base puts both lines through the base,
+each at the rotation it reads there.  So every crossing of w1 with w2
+appears as a rotation pair (i, j) of linked lines through the base,
+with relative element g = w1[:i] + inverse(w2[:j]); no connector words
+are needed.
+
+Identification.  Each shared vertex of one pair of crossing lines gives
+one rotation pair of that crossing.  Two shared vertices joined by an
+edge of both lines give pairs that are merged, indices mod the word
+lengths:
+
+* parallel edge: (i, j) with (i+1, j+1) when w1[i] == w2[j];
+* anti-parallel edge: (i, j) with (i+1, j-1) when w1[i] == -w2[j-1].
+
+For self-intersections the pair is unordered; applying the anti-parallel
+rule to (j, i) also merges (i, j) with (i-1, j+1) when w[j] == -w[i-1].
+Each class of the union-find is one crossing.  Merging is sound by
+construction: along a shared edge the relative element g does not
+change.  It is complete when two crossing lines meet in a connected
+set.  That is the open assumption of this module: a meet in two pieces
+would be a bigon of two distinct geodesic spellings of one element,
+each read inside a canonical cyclic word, and no proof is recorded here
+that canonical spellings exclude it.  Tests check the counts against a
+double-coset oracle and a numeric disc model, and ``bracket`` against
+the augmentation identity.
 
 A crossing between strands i < j carries the sign of the frame (strand
 i direction, strand j direction) against the fixed surface orientation
 (the germ cycle order).  The loop following the first positive frame
-direction is the first resolution factor.
+direction is the first resolution factor.  Resolving a crossing splits
+the cyclic word into its two subloops, which is the string cobracket;
+joining two loops at a crossing concatenates their rotated spellings,
+which is the string bracket.
 
 Proper powers: a class v^m is resolved on its full length-m*|v|
 spelling; rotation pairs congruent modulo |v| describe the same lift
-line and never cross, so the power has m^2 times the crossings of its
+line and never cross, and indices mod m*|v| keep the m^2 phases of each
+crossing of v apart, so the power has m^2 times the crossings of its
 root, each resolution read off the power spelling.
 """
 
@@ -27,31 +57,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError
-from .words import (BoundaryOrder, Ray, SurfaceGroup, Word, inverse,
-                    rotations, word_key)
-
-# bracket joins lift pairs whose relative element is prefix + connector
-# + prefix^-1 over reduced connectors up to this length; no bound shows
-# that every crossing is reached, so the radius is not certified
-CONNECTOR_RADIUS = 2
-
-
-def _power(w, k: int):
-    if k >= 0:
-        return w * k
-    return inverse(w) * (-k)
-
-
-def _reduced_words(rank: int, radius: int) -> List[Word]:
-    """Freely reduced words of length <= radius, shortest first."""
-    letters = [x for k in range(1, rank + 1) for x in (k, -k)]
-    words: List[Word] = [()]
-    frontier: List[Word] = [()]
-    for _ in range(radius):
-        frontier = [v + (x,) for v in frontier for x in letters
-                    if not (v and v[-1] == -x)]
-        words.extend(frontier)
-    return words
+from .words import BoundaryOrder, Ray, SurfaceGroup, Word, inverse, rotations
 
 
 class TensorSum:
@@ -96,6 +102,7 @@ class TensorSum:
 class Crossing:
     """One self-intersection: rotation pair, sign, resolved subloops.
 
+    (i, j), i < j, is the least rotation pair of the crossing's class.
     ``first``/``second`` are the canonical classes of the subloop
     following strand i resp. strand j out of the crossing; for a
     positive crossing the frame order is (first, second).
@@ -115,7 +122,6 @@ class StringTopology:
         self.group = group
         self.order = BoundaryOrder(group)
         self._ray_cache: Dict[Word, Tuple[Ray, Ray]] = {}
-        self._connectors = _reduced_words(group.rank, CONNECTOR_RADIUS)
 
     # -- lifts ------------------------------------------------------------
 
@@ -129,96 +135,97 @@ class StringTopology:
             self._ray_cache[spelling] = cached
         return cached
 
-    def _same_line(self, a: Word, b: Word) -> bool:
-        """Do two cyclic spellings trace the same lift line?"""
-        return self.group.equal(a, b) or self.group.is_trivial(a + b)
+    def _pair_orbit_key(self, w1: Word, w2: Word, unordered: bool
+                        ) -> List[Tuple[int, int]]:
+        """Orbit keys of the rotation pairs of w1 and w2.
+
+        Rotation pair (i, j) stands for the pair of lifts through the
+        base reading rotations i and j.  A union-find merges pairs along
+        the edges shared by their two lines (see the module docstring);
+        each class is the orbit of one lift pair, and its least pair is
+        its key.  The keys are returned in increasing order.  With
+        ``unordered`` (w1 == w2) the pairs (i, j) and (j, i) are one
+        node, keyed with i < j, and the diagonal is left out.
+        """
+        n1, n2 = len(w1), len(w2)
+        parent = list(range(n1 * n2))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def node(i, j):
+            i, j = i % n1, j % n2
+            if unordered and i > j:
+                i, j = j, i
+            return i * n2 + j
+
+        def union(a, b):
+            a, b = find(a), find(b)
+            parent[max(a, b)] = min(a, b)   # the least pair stays the root
+
+        for i in range(n1):
+            for j in range(n2):
+                if w1[i] == w2[j]:
+                    union(node(i, j), node(i + 1, j + 1))
+                if w1[i] == -w2[j - 1]:
+                    union(node(i, j), node(i + 1, j - 1))
+        return [(i, j) for i in range(n1)
+                for j in range(i + 1 if unordered else 0, n2)
+                if find(i * n2 + j) == i * n2 + j]
+
+    def _crossing_sign(self, a: Word, b: Word, one_root: bool) -> int:
+        """Sign of the crossing of the lifts of a and b through the base.
+
+        0 when they do not cross: their ends do not interleave, or the
+        lines share their ends (a common axis), which is settled before
+        ``orient``, since that needs distinct ends.  A common axis means
+        that a and b commute, so both are powers of one primitive
+        element; callers pass ``one_root`` False when the classes rule
+        that out, and the commutator is then not reduced.
+        """
+        if one_root and self.group.is_trivial(a + b + inverse(a)
+                                              + inverse(b)):
+            return 0
+        eta1, xi1 = self._axis_rays(a)
+        eta2, xi2 = self._axis_rays(b)
+        if not self.order.linked((eta1, xi1), (eta2, xi2)):
+            return 0
+        return self.order.orient(eta1, eta2, xi1)
 
     # -- self-intersections ------------------------------------------------
 
-    def _pair_orbit_key(self, w1: Word, w2: Word,
-                        cores: Tuple[Word, ...]) -> Word:
-        """Canonical label of the lift pair (base of w1, g * base of w2).
-
-        Two lift pairs describe the same crossing exactly when their
-        relative elements g lie in a common double coset <w1> g <w2>.
-        ``cores`` lists the relative elements whose double cosets form
-        the orbit: (g, inverse(g)) for two lifts of one word, whose
-        branches may be swapped, and (g,) for an ordered pair of words.
-        The key is the least canonical spelling over that orbit,
-        scanned through a power window wide enough for the sizes at
-        hand.
-        """
-        group = self.group
-        width = 1
-        while True:
-            best = None
-            shortest_on_boundary = None
-            for core in cores:
-                for a in range(-width, width + 1):
-                    for b in range(-width, width + 1):
-                        cand = group.canonical_element(
-                            _power(w1, a) + core + _power(w2, b))
-                        key = (len(cand), word_key(cand))
-                        if best is None or key < best[0]:
-                            best = (key, cand)
-                        if abs(a) == width or abs(b) == width:
-                            if (shortest_on_boundary is None
-                                    or len(cand) < shortest_on_boundary):
-                                shortest_on_boundary = len(cand)
-            # lengths grow linearly in the powers once past the minimum,
-            # so a strictly longer boundary certifies the orbit minimum
-            if width >= 6 or shortest_on_boundary > best[0][0]:
-                return best[1]
-            width += 1
-
     def self_intersection_pairs(self, w: Word) -> List[Crossing]:
-        """Double points of the geodesic as deduplicated linked pairs.
+        """Double points of the geodesic of the canonical cyclic word w.
 
-        Rotation i spells the lift of the loop through the basepoint
-        cell; lifts i and j cross when their endpoint pairs interleave.
-        Every double point appears among such pairs at least once, and
-        pairs describing the same double point are merged through the
-        double-coset orbit key.
+        Lifts i and j through the base cross when their end pairs
+        interleave.  By planarity every double point has a lift pair
+        sharing a vertex, translated to the base, so it appears among
+        the rotation pairs; pairs at adjacent shared vertices merge
+        (parallel: (i, j) with (i+1, j+1) when w[i] == w[j];
+        anti-parallel: (i, j) with (i+1, j-1) when w[i] == -w[j-1], and
+        (i, j) with (i-1, j+1) when w[j] == -w[i-1]), and each class is
+        one double point if crossing lines meet in a connected set, the
+        module's open assumption.
         """
-        n = len(w)
         rots = rotations(w)
-        linked: List[Crossing] = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self._same_line(rots[i], rots[j]):
-                    continue
-                eta_i, xi_i = self._axis_rays(rots[i])
-                eta_j, xi_j = self._axis_rays(rots[j])
-                if not self.order.linked((eta_i, xi_i), (eta_j, xi_j)):
-                    continue
-                sign = self.order.orient(eta_i, eta_j, xi_i)
-                along_i = w[i:j]
-                along_j = w[j:] + w[:i]
-                first = self.group.canonical_class(along_i)
-                second = self.group.canonical_class(along_j)
-                if sign == -1:
-                    first, second = second, first
-                linked.append(Crossing(i=i, j=j, sign=sign,
-                                       first=first, second=second))
-        # the ordered resolution pair is a branch-order invariant of the
-        # double point, so only pairs sharing it can coincide; settle
-        # those groups through the double-coset orbit key
-        groups: Dict[Tuple[Word, Word], List[Crossing]] = {}
-        for c in linked:
-            groups.setdefault((c.first, c.second), []).append(c)
+        # rotations i != j of a primitive word never commute: a common
+        # root would make the subword between them, nonempty and shorter
+        # than w, a power of rotation i
+        power = self.group.primitive_root(w)[1] > 1
         out: List[Crossing] = []
-        for c in linked:
-            group_members = groups[(c.first, c.second)]
-            if len(group_members) == 1:
-                out.append(c)
+        for i, j in self._pair_orbit_key(w, w, True):
+            sign = self._crossing_sign(rots[i], rots[j], power)
+            if not sign:
                 continue
-            if group_members[0] is c:    # dedupe once per group
-                by_key = {}
-                for member in group_members:
-                    g = w[:member.i] + inverse(w[:member.j])
-                    key = self._pair_orbit_key(w, w, (g, inverse(g)))
-                    by_key.setdefault(key, member)
-                out.extend(by_key.values())
+            first = self.group.canonical_class(w[i:j])
+            second = self.group.canonical_class(w[j:] + w[:i])
+            if sign == -1:
+                first, second = second, first
+            out.append(Crossing(i=i, j=j, sign=sign,
+                                first=first, second=second))
         return out
 
     def self_intersection_number(self, w: Word) -> int:
@@ -260,41 +267,26 @@ class StringTopology:
     def bracket(self, w1: Word, w2: Word) -> TensorSum:
         """Signed sum of joined loops over crossings of the two classes.
 
-        Lift pairs are enumerated as (base lift of the first word,
-        relative translate of the second); unlike self-intersections the
-        two lift paths need not share a vertex, so the relative elements
-        run over prefix-to-prefix words padded by a ball of connectors.
-        Crossings are deduplicated by the orbit of the relative element
-        under deck powers on either side.
+        By planarity a crossing lift pair shares a vertex, translated to
+        the base, so the lift pairs are the rotation pairs (i, j) with
+        relative element g = w1[:i] + inverse(w2[:j]).  Pairs at
+        adjacent shared vertices merge (parallel: (i, j) with
+        (i+1, j+1) when w1[i] == w2[j]; anti-parallel: (i, j) with
+        (i+1, j-1) when w1[i] == -w2[j-1]), and each class is one
+        crossing if crossing lines meet in a connected set, the
+        module's open assumption.  The joined loop w1 g w2 g^-1 is
+        conjugate to rotation i of w1 followed by rotation j of w2.
         """
-        group = self.group
-        out = TensorSum()
+        root1 = self.group.primitive_root(w1)[0]
+        root2 = self.group.primitive_root(w2)[0]
+        one_root = root1 in (root2, self.group.inverse_class(root2))
         rots1, rots2 = rotations(w1), rotations(w2)
-        eta1, xi1 = self._axis_rays(w1)
-        taken: Dict[Word, int] = {}
-        for i in range(len(w1)):
-            for j in range(len(w2)):
-                for s in self._connectors:
-                    g = w1[:i] + s + inverse(w2[:j])
-                    conj = group.reduce_word(g + w2 + inverse(g))
-                    # common axis = commuting elements in a surface group
-                    if group.is_trivial(conj + tuple(w1)
-                                        + inverse(conj) + inverse(w1)):
-                        continue        # same geodesic line
-                    eta2 = self.order.ray(g, inverse(w2))
-                    xi2 = self.order.ray(g, w2)
-                    if eta2.same_stream(xi2):
-                        continue
-                    if not self.order.linked((eta1, xi1), (eta2, xi2)):
-                        continue
-                    key = self._pair_orbit_key(w1, w2, (g,))
-                    if key in taken:
-                        continue
-                    sign = self.order.orient(eta1, eta2, xi1)
-                    taken[key] = sign
-                    joined = group.canonical_class(
-                        tuple(w1) + g + tuple(w2) + inverse(g))
-                    out.add(joined, sign)
+        out = TensorSum()
+        for i, j in self._pair_orbit_key(w1, w2, False):
+            sign = self._crossing_sign(rots1[i], rots2[j], one_root)
+            if sign:
+                out.add(self.group.canonical_class(rots1[i] + rots2[j]),
+                        sign)
         return out
 
     # -- labels and sporadic counts -------------------------------------------

@@ -88,9 +88,6 @@ class Leaf:
 class ModelConfig:
     """Fixture data and enumeration conventions for one model instance."""
 
-    k_circles: int = 3
-    genus_sigma: int = 3
-    genus_base: int = 2
     left_action_unit: Fraction = Fraction(1)
     right_action_unit: Fraction = Fraction(1)
     action_threshold: Fraction = Fraction(5, 2)
@@ -109,13 +106,6 @@ class ModelConfig:
     flow_cover_attach_even_only: bool = True
 
     def __post_init__(self):
-        if self.k_circles < 1:
-            raise ConfigurationError("need at least one dividing circle")
-        if self.genus_sigma < self.k_circles:
-            raise ConfigurationError(
-                "dividing surface genus must be at least the circle count")
-        if self.genus_base < 2:
-            raise ConfigurationError("the base surface is hyperbolic")
         if self.action_threshold <= 0 or self.cover_threshold < 1:
             raise ConfigurationError("thresholds must be positive")
         if self.left_action_unit <= 0 or self.right_action_unit <= 0:

@@ -391,8 +391,9 @@ class Ray:
     """Reduced eventually-periodic edge ray from the basepoint.
 
     The ray spells prefix + tail + tail + ...; construction reduces the
-    junction so the visible stream stays geodesic.  Rays are hashable
-    on their normal form.
+    junction so the visible stream stays geodesic.  The tail must be
+    cyclically Dehn-reduced, or ``ConfigurationError`` is raised.  Rays
+    are hashable on their normal form.
     """
 
     __slots__ = ("prefix", "tail")
@@ -426,8 +427,12 @@ def _normalize_ray_cached(group: SurfaceGroup, prefix: Word, tail: Word
                           ) -> Tuple[Word, Word]:
     # a bare periodic stream is geodesic when its block is cyclically
     # Dehn-reduced: a relator segment has distinct letters, so one in
-    # the stream is no longer than the block and is a cyclic window of it
-    if not prefix and group._shorten(tail, True) == tail:
+    # the stream is no longer than the block and is a cyclic window of it;
+    # any other block shortens with every copy and has no normal form
+    if group._shorten(tail, True) != tail:
+        raise ConfigurationError("ray block %r is not cyclically "
+                                 "Dehn-reduced" % (tail,))
+    if not prefix:
         return (), tail
     L = group.relator_length
     period = len(tail)

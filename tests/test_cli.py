@@ -57,6 +57,18 @@ class TestEnumerateCommand:
         assert code == 2
         assert "invalid input: model field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["k_circles", "genus_sigma",
+                                     "genus_base"])
+    def test_removed_model_field_is_unknown_key(self, capsys, tmp_path, key):
+        # no computation read these fields, so they are no longer accepted
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({key: 3}))
+        code = main(["enumerate", "--config", str(path),
+                     "--genus", "0", "--ends", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad model configuration field" in err and key in err
+
 
 class TestIndexCommand:
     def test_kernel_bound(self, capsys):

@@ -1,11 +1,13 @@
 import random
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from oracle_double_coset import DoubleCosetOracle, triples
 from oracle_hyperbolic import SelfIntersectionOracle
 from sft_lab.cobracket import (ClassRegistry, StringTopology, TensorSum,
                                cobracket_coefficients,
@@ -71,6 +73,23 @@ class TestSelfIntersections:
         doubled = G2.canonical_class((1, 2, -1, 2) * 2)
         assert ST.self_intersection_number(doubled) == 4 * base
 
+    def test_double_coset_oracle_agrees(self):
+        # about 2,000 seeded classes of length <= 7, plus the squares and
+        # cubes of the short ones, so the m^2 rule for powers is covered
+        oracle = DoubleCosetOracle(SurfaceGroup(2))
+        classes = rand_classes(random.Random(1986), 2000, max_len=7)
+        powers = [G2.canonical_class(c * m)
+                  for c in classes if len(c) <= 3 for m in (2, 3)]
+        assert len(powers) >= 200
+        crossings = 0
+        for cls in classes + powers:
+            got = ST.self_intersection_pairs(cls)
+            want = oracle.crossings(cls)
+            assert len(got) == len(want), cls
+            assert triples(got) == triples(want), cls
+            crossings += len(got)
+        assert crossings > 5000
+
     def test_pairs_carry_signs(self):
         for c in ST.self_intersection_pairs(G2.canonical_class((1, 3, 2, 4))):
             assert c.sign in (-1, 1)
@@ -125,8 +144,9 @@ class TestBracket:
         assert got.terms == {G2.canonical_class((1, 2)): -1}
 
     def test_pinned_terms(self):
-        # exact terms, so the orbit-key scan behind the deduplication is
-        # checked by value and not only through the algebraic laws below
+        # exact terms, so the shared-edge union-find behind the
+        # deduplication is checked by value and not only through the
+        # algebraic laws below
         pins = [
             ((1, 2), (2,), {(1, 2, 2): -1}),
             ((1, 3), (2, 4), {(1, 2, 4, 3): -1, (1, 3, 4, 2): -1}),
@@ -165,6 +185,177 @@ class TestBracket:
                 bracket_ts(ST.bracket(y, z), x)).plus(
                 bracket_ts(ST.bracket(z, x), y))
             assert total.is_zero(), (x, y, z)
+
+
+def omega(x, y):
+    """Algebraic intersection of the homology classes, omega(a_i, b_i) = 1."""
+    def homology(w):
+        v = [0] * 5
+        for letter in w:
+            v[abs(letter)] += 1 if letter > 0 else -1
+        return v
+    a, b = homology(x), homology(y)
+    return sum(a[k] * b[k + 1] - a[k + 1] * b[k] for k in (1, 3))
+
+
+def classes_up_to(n):
+    """Every genus-2 class of length <= n, once each."""
+    found = {}
+    for k in range(1, n + 1):
+        for w in product(LETTERS, repeat=k):
+            if any(w[i] == -w[(i + 1) % k] for i in range(k)):
+                continue
+            try:
+                found.setdefault(G2.canonical_class(w), None)
+            except TrivialClassError:
+                pass
+    return list(found)
+
+
+def bracket_of(xs, ys):
+    """Bilinear extension of the bracket to combinations of classes."""
+    out = TensorSum()
+    for x, u in xs.terms.items():
+        for y, v in ys.terms.items():
+            for z, t in ST.bracket(x, y).terms.items():
+                out.add(z, u * v * t)
+    return out
+
+
+def cobracket_of(xs):
+    out = TensorSum()
+    for x, u in xs.terms.items():
+        for pair, v in ST.cobracket(x).terms.items():
+            out.add(pair, u * v)
+    return out
+
+
+def acting(a, tensors):
+    """a . (x (x) y) = [a, x] (x) y + x (x) [a, y]."""
+    out = TensorSum()
+    for (x, y), v in tensors.terms.items():
+        for z, t in ST.bracket(a, x).terms.items():
+            out.add((z, y), v * t)
+        for z, t in ST.bracket(a, y).terms.items():
+            out.add((x, z), v * t)
+    return out
+
+
+# failed Jacobi when the orbit-key search counted crossings twice
+JACOBI_TRIPLE = ((-3, 4), (-1, 4, 4), (4,))
+
+
+def seeded_triples(seed, how_many):
+    pool = rand_classes(random.Random(seed), 3 * how_many, max_len=5)
+    fixed = tuple(G2.canonical_class(w) for w in JACOBI_TRIPLE)
+    return [fixed] + list(zip(pool[0::3], pool[1::3], pool[2::3]))
+
+
+# the single letter x class of length <= 5 pairs whose bracket missed the
+# augmentation identity while crossings were labelled by a double-coset
+# search: one crossing was counted twice
+AUGMENTATION_REGRESSIONS = [
+    (1, (-1, -1, -1, -2)), (1, (-1, -1, -1, 2)), (1, (1, 1, 1, -2)),
+    (1, (1, 1, 1, 2)), (1, (-1, -1, -1, -1, -2)), (1, (-1, -1, -1, -1, 2)),
+    (1, (1, 1, 1, 1, -2)), (1, (1, 1, 1, 1, 2)), (-1, (-1, -1, -1, -2)),
+    (-1, (-1, -1, -1, 2)), (-1, (1, 1, 1, -2)), (-1, (1, 1, 1, 2)),
+    (-1, (-1, -1, -1, -1, -2)), (-1, (-1, -1, -1, -1, 2)),
+    (-1, (1, 1, 1, 1, -2)), (-1, (1, 1, 1, 1, 2)), (2, (-1, -2, -2, -2)),
+    (2, (-1, 2, 2, 2)), (2, (1, -2, -2, -4)), (2, (1, -2, -2, -3)),
+    (2, (1, -2, -2, -2)), (2, (1, -2, -2, 3)), (2, (1, -2, -2, 4)),
+    (2, (1, 2, 2, -4)), (2, (1, 2, 2, -3)), (2, (1, 2, 2, 2)),
+    (2, (1, 2, 2, 3)), (2, (1, 2, 2, 4)), (2, (-1, -2, -2, -2, -2)),
+    (2, (-1, 2, 2, 2, 2)), (2, (1, -2, -2, -2, -4)), (2, (1, -2, -2, -2, -3)),
+    (2, (1, -2, -2, -2, -2)), (2, (1, -2, -2, -2, 3)), (2, (1, -2, -2, -2, 4)),
+    (2, (1, 2, 2, 2, -4)), (2, (1, 2, 2, 2, -3)), (2, (1, 2, 2, 2, 2)),
+    (2, (1, 2, 2, 2, 3)), (2, (1, 2, 2, 2, 4)), (-2, (-1, -2, -2, -2)),
+    (-2, (-1, 2, 2, 2)), (-2, (1, -2, -2, -4)), (-2, (1, -2, -2, -3)),
+    (-2, (1, -2, -2, -2)), (-2, (1, -2, -2, 3)), (-2, (1, -2, -2, 4)),
+    (-2, (1, 2, 2, -4)), (-2, (1, 2, 2, -3)), (-2, (1, 2, 2, 2)),
+    (-2, (1, 2, 2, 3)), (-2, (1, 2, 2, 4)), (-2, (-1, -2, -2, -2, -2)),
+    (-2, (-1, 2, 2, 2, 2)), (-2, (1, -2, -2, -2, -4)),
+    (-2, (1, -2, -2, -2, -3)), (-2, (1, -2, -2, -2, -2)),
+    (-2, (1, -2, -2, -2, 3)), (-2, (1, -2, -2, -2, 4)), (-2, (1, 2, 2, 2, -4)),
+    (-2, (1, 2, 2, 2, -3)), (-2, (1, 2, 2, 2, 2)), (-2, (1, 2, 2, 2, 3)),
+    (-2, (1, 2, 2, 2, 4)), (3, (-3, -3, -3, -4)), (3, (-3, -3, -3, 4)),
+    (3, (-2, -3, -3, -4)), (3, (-2, 3, 3, -4)), (3, (-1, -3, -3, -4)),
+    (3, (-1, 3, 3, -4)), (3, (1, -3, -3, -4)), (3, (1, 3, 3, -4)),
+    (3, (2, -3, -3, -4)), (3, (2, 3, 3, -4)), (3, (3, 3, 3, -4)),
+    (3, (3, 3, 3, 4)), (3, (-3, -3, -3, -3, -4)), (3, (-3, -3, -3, -3, 4)),
+    (3, (-2, -3, -3, -3, -4)), (3, (-2, 3, 3, 3, -4)),
+    (3, (-1, -3, -3, -3, -4)), (3, (-1, 3, 3, 3, -4)),
+    (3, (1, -3, -3, -3, -4)), (3, (1, 3, 3, 3, -4)), (3, (2, -3, -3, -3, -4)),
+    (3, (2, 3, 3, 3, -4)), (3, (3, 3, 3, 3, -4)), (3, (3, 3, 3, 3, 4)),
+    (-3, (-3, -3, -3, -4)), (-3, (-3, -3, -3, 4)), (-3, (-2, -3, -3, -4)),
+    (-3, (-2, 3, 3, -4)), (-3, (-1, -3, -3, -4)), (-3, (-1, 3, 3, -4)),
+    (-3, (1, -3, -3, -4)), (-3, (1, 3, 3, -4)), (-3, (2, -3, -3, -4)),
+    (-3, (2, 3, 3, -4)), (-3, (3, 3, 3, -4)), (-3, (3, 3, 3, 4)),
+    (-3, (-3, -3, -3, -3, -4)), (-3, (-3, -3, -3, -3, 4)),
+    (-3, (-2, -3, -3, -3, -4)), (-3, (-2, 3, 3, 3, -4)),
+    (-3, (-1, -3, -3, -3, -4)), (-3, (-1, 3, 3, 3, -4)),
+    (-3, (1, -3, -3, -3, -4)), (-3, (1, 3, 3, 3, -4)),
+    (-3, (2, -3, -3, -3, -4)), (-3, (2, 3, 3, 3, -4)), (-3, (3, 3, 3, 3, -4)),
+    (-3, (3, 3, 3, 3, 4)), (4, (-3, -4, -4, -4)), (4, (-3, 4, 4, 4)),
+    (4, (-2, -4, -4, -3)), (4, (-2, 4, 4, -3)), (4, (-1, -4, -4, -3)),
+    (4, (-1, 4, 4, -3)), (4, (1, -4, -4, -3)), (4, (1, 4, 4, -3)),
+    (4, (2, -4, -4, -3)), (4, (2, 4, 4, -3)), (4, (3, -4, -4, -4)),
+    (4, (3, 4, 4, 4)), (4, (-3, -4, -4, -4, -4)), (4, (-3, 4, 4, 4, 4)),
+    (4, (-2, -4, -4, -4, -3)), (4, (-2, 4, 4, 4, -3)),
+    (4, (-1, -4, -4, -4, -3)), (4, (-1, 4, 4, 4, -3)),
+    (4, (1, -4, -4, -4, -3)), (4, (1, 4, 4, 4, -3)), (4, (2, -4, -4, -4, -3)),
+    (4, (2, 4, 4, 4, -3)), (4, (3, -4, -4, -4, -4)), (4, (3, 4, 4, 4, 4)),
+    (-4, (-3, -4, -4, -4)), (-4, (-3, 4, 4, 4)), (-4, (-2, -4, -4, -3)),
+    (-4, (-2, 4, 4, -3)), (-4, (-1, -4, -4, -3)), (-4, (-1, 4, 4, -3)),
+    (-4, (1, -4, -4, -3)), (-4, (1, 4, 4, -3)), (-4, (2, -4, -4, -3)),
+    (-4, (2, 4, 4, -3)), (-4, (3, -4, -4, -4)), (-4, (3, 4, 4, 4)),
+    (-4, (-3, -4, -4, -4, -4)), (-4, (-3, 4, 4, 4, 4)),
+    (-4, (-2, -4, -4, -4, -3)), (-4, (-2, 4, 4, 4, -3)),
+    (-4, (-1, -4, -4, -4, -3)), (-4, (-1, 4, 4, 4, -3)),
+    (-4, (1, -4, -4, -4, -3)), (-4, (1, 4, 4, 4, -3)),
+    (-4, (2, -4, -4, -4, -3)), (-4, (2, 4, 4, 4, -3)),
+    (-4, (3, -4, -4, -4, -4)), (-4, (3, 4, 4, 4, 4)),
+]
+
+
+class TestBracketLaws:
+    """Goldman-Turaev laws checked exactly on fixed sweeps."""
+
+    def test_augmentation_identity_full_sweep(self):
+        # coefficients of [x, y] sum to -omega(x, y) (Goldman 1986)
+        classes = classes_up_to(5)
+        pairs = 0
+        for x in LETTERS:
+            for y in classes:
+                got = ST.bracket((x,), y).terms
+                assert sum(got.values()) == -omega((x,), y), (x, y)
+                pairs += 1
+        assert pairs == 32736
+
+    def test_augmentation_regressions(self):
+        assert len(AUGMENTATION_REGRESSIONS) == 160
+        for x, y in AUGMENTATION_REGRESSIONS:
+            got = ST.bracket((x,), y).terms
+            assert sum(got.values()) == -omega((x,), y), (x, y)
+        assert ST.bracket((4,), (-1, 4, 4, -3)).terms == {
+            (-1, 4, 4, 4, -3): -1}
+
+    def test_antisymmetry_and_jacobi_seeded(self):
+        for x, y, z in seeded_triples(1986, 150):
+            assert ST.bracket(x, y) == ST.bracket(y, x).negated(), (x, y)
+            one = [TensorSum({w: 1}) for w in (x, y, z)]
+            total = TensorSum()
+            for k in range(3):
+                a, b, c = one[k], one[(k + 1) % 3], one[(k + 2) % 3]
+                total = total.plus(bracket_of(bracket_of(a, b), c))
+            assert total.is_zero(), (x, y, z)
+
+    def test_drinfeld_compatibility_seeded(self):
+        # delta[a, b] = a . delta(b) - b . delta(a) (Turaev 1991)
+        for a, b, _ in seeded_triples(1991, 150):
+            lhs = cobracket_of(ST.bracket(a, b))
+            rhs = acting(a, ST.cobracket(b)).plus(
+                acting(b, ST.cobracket(a)).negated())
+            assert lhs == rhs, (a, b)
 
 
 class TestRegistryAndCounts:
@@ -208,7 +399,6 @@ class TestRegistryAndCounts:
 
 class TestNonzeroSearch:
     def test_nonzero_count_exists_within_length_eight(self):
-        from itertools import product
         found = None
         seen = set()
         for n in range(1, 9):

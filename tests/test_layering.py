@@ -1,5 +1,6 @@
-"""Structure guards: the algebra is geometry-free, and the word layer
-has one relator-segment scan."""
+"""Structure guards: the algebra is geometry-free, the word layer has
+one relator-segment scan, and the loop layer identifies crossings by
+one union-find."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,35 @@ def test_words_has_one_segment_scan():
     readers = attribute_readers("words", "segments")
     assert "_rewrites" in readers
     assert readers <= {"_rewrites", "segments", "_relator_segments"}
+
+
+def callers(module: str, name: str):
+    """Names of the functions of ``module`` that call ``name``, as a
+    plain function or as a method."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            target = node.func
+            called = (target.attr if isinstance(target, ast.Attribute)
+                      else getattr(target, "id", None))
+            if called == name:
+                found.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(module_tree(module), None)
+    return found
+
+
+def test_cobracket_identifies_crossings_by_one_union_find():
+    # crossings are merged along shared edges, not labelled by searching
+    # a double coset for a least canonical spelling
+    assert callers("cobracket", "canonical_element") == set()
+    assert callers("cobracket", "_pair_orbit_key") == {
+        "self_intersection_pairs", "bracket"}
+    names = {getattr(node, "name", getattr(node, "id", None))
+             for node in ast.walk(module_tree("cobracket"))}
+    assert not names & {"CONNECTOR_RADIUS", "_reduced_words", "_power"}

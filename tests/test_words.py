@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sft_lab.errors import (ConfigurationError, InternalError,
-                            TrivialClassError)
+from sft_lab.errors import ConfigurationError, TrivialClassError
 from sft_lab.words import (BoundaryOrder, Ray, SurfaceGroup,
                            _normalize_ray_cached, cyclic_reduce,
                            format_letters, free_reduce, inverse,
@@ -152,6 +151,16 @@ class TestBoundaryOrder:
         plain = bo.ray((), (1, 2))
         assert r.same_stream(plain)
 
+    def test_block_not_cyclically_reduced_is_rejected(self):
+        # (4, 3, -4, -3, 2) holds five letters of the inverse relator, so
+        # every added block shortens and no periodic normal form exists
+        for prefix in ((), (1,)):
+            with pytest.raises(ConfigurationError,
+                               match=r"\(4, 3, -4, -3, 2\)"):
+                Ray(G2, prefix, (4, 3, -4, -3, 2))
+        with pytest.raises(ConfigurationError):
+            Ray(G2, (), (1, 2, -1))
+
     def test_linked_pairs(self):
         bo = BoundaryOrder(G2)
         # axes of a1-conjugates: the base handle curve and a crossing one
@@ -274,7 +283,7 @@ def word_layer_digest():
             prefix = () if k % 3 == 0 else seeded_words(group, rng, 1, 8)[0]
             try:
                 key = Ray(group, prefix, tail).key()
-            except InternalError:
+            except ConfigurationError:
                 key = "unstable"
             digest.update(repr((prefix, tail, key)).encode())
     return digest.hexdigest()
