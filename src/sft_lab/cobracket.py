@@ -129,8 +129,8 @@ class StringTopology:
         """(repelling, attracting) boundary rays of the spelling's lift."""
         cached = self._ray_cache.get(spelling)
         if cached is None:
-            xi = self.order.ray((), spelling)
-            eta = self.order.ray((), inverse(spelling))
+            xi = self.order.ray(spelling)
+            eta = self.order.ray(inverse(spelling))
             cached = (eta, xi)
             self._ray_cache[spelling] = cached
         return cached
@@ -239,13 +239,6 @@ class StringTopology:
         for c in self.self_intersection_pairs(w):
             out.add((c.first, c.second), 1)
             out.add((c.second, c.first), -1)
-        return out
-
-    def cobracket_swapped(self, w: Word) -> TensorSum:
-        ts = self.cobracket(w)
-        out = TensorSum()
-        for (x, y), v in ts.terms.items():
-            out.add((y, x), v)
         return out
 
     def one_sided_resolutions(self, w: Word) -> TensorSum:

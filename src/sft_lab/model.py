@@ -32,8 +32,6 @@ PAGE_MAX_MIN = "max:min"
 PAGE_MAX_HYP = "max:hyp-"
 PAGE_HYP_MIN = "hyp+:min"
 
-PAGE_KINDS = (PAGE_MAX_MIN, PAGE_MAX_HYP, PAGE_HYP_MIN)
-
 # index drop of the flow segment = dimension of the normal kernel of a
 # curve confined to the leaf (cylindrical leaves have none)
 FLOW_INDEX = {FLOW_LEFT: 1, FLOW_RIGHT: 1,

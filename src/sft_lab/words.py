@@ -23,20 +23,25 @@ outgoing edge germs, read off the relator; two reduced rays diverging
 at a vertex have boundary points in the sectors of their first distinct
 germs, and the cyclic order of sectors is the cyclic order of germs.
 That yields an exact three-point orientation test for ends, with no
-floating point anywhere.
+floating point anywhere.  A ray is the periodic stream of one
+cyclically Dehn-reduced block read from the base vertex, so it is
+geodesic and needs no normal form beyond its block.  Two periodic
+streams are equal when they agree over the lcm of their periods, which
+bounds every comparison of the orientation test.
 
 Each ``SurfaceGroup`` owns the data derived from it.  The relator
 segment table (``segments``), the germ cycle (``rotation_cycle``) and
 the germ positions in it are built on first use, once per group.  The
 memo dicts of ``reduce_word``, ``canonical_element`` and
 ``canonical_class`` are created empty with the group and fill as it
-works, each up to ``MEMO_CAP`` entries.  Ray normal forms are memoised
-module-wide by ``_normalize_ray_cached``, keyed by the group's value
-(its genus), and computed on the group that asked first.
+works, each up to ``MEMO_CAP`` entries.  The check of a ray block is
+memoised module-wide by ``_normalize_ray_cached``, keyed by the group's
+value (its genus), and computed on the group that asked first.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -46,7 +51,10 @@ from .errors import ConfigurationError, InternalError, TrivialClassError
 
 Word = Tuple[int, ...]
 
-MEMO_CAP = 500000       # each memo dict of a group stops filling here
+# each memo dict of a group stops filling here; the memos are pure, of
+# deterministic functions, so a word that finds no entry is computed
+# again and a full memo cannot change a result
+MEMO_CAP = 500000
 
 
 def inverse(word: Sequence[int]) -> Word:
@@ -388,74 +396,45 @@ class SurfaceGroup:
 
 
 class Ray:
-    """Reduced eventually-periodic edge ray from the basepoint.
+    """Periodic geodesic edge ray from the basepoint.
 
-    The ray spells prefix + tail + tail + ...; construction reduces the
-    junction so the visible stream stays geodesic.  The tail must be
-    cyclically Dehn-reduced, or ``ConfigurationError`` is raised.  Rays
-    are hashable on their normal form.
+    The ray spells tail + tail + ...; the tail must be a nonempty,
+    cyclically Dehn-reduced block, or ``ConfigurationError`` is raised.
     """
 
-    __slots__ = ("prefix", "tail")
+    __slots__ = ("tail",)
 
-    def __init__(self, group: SurfaceGroup, prefix: Sequence[int],
-                 tail: Sequence[int]):
-        tail = tuple(tail)
-        if not tail:
-            raise InternalError("a ray needs a nonempty repeating block")
-        self.prefix, self.tail = _normalize_ray_cached(group, tuple(prefix),
-                                                       tail)
+    def __init__(self, group: SurfaceGroup, tail: Sequence[int]):
+        self.tail = _normalize_ray_cached(group, tuple(tail))
 
     def letter(self, n: int) -> int:
-        if n < len(self.prefix):
-            return self.prefix[n]
-        return self.tail[(n - len(self.prefix)) % len(self.tail)]
-
-    def key(self) -> Tuple[Word, Word]:
-        return (self.prefix, self.tail)
+        return self.tail[n % len(self.tail)]
 
     def same_stream(self, other: "Ray") -> bool:
-        if self.key() == other.key():
-            return True
-        bound = (len(self.prefix) + len(other.prefix)
-                 + 2 * len(self.tail) * len(other.tail) + 8)
-        return all(self.letter(i) == other.letter(i) for i in range(bound))
+        """Do the two rays spell the same letter stream?
+
+        Both streams repeat after L = lcm of the periods, so they are
+        equal exactly when they agree on their first L letters.
+        """
+        t1, t2 = self.tail, other.tail
+        n = math.lcm(len(t1), len(t2))
+        return t1 * (n // len(t1)) == t2 * (n // len(t2))
 
 
+# a pure memo of a deterministic function: once full it evicts the
+# least recently used block, which is checked again when it comes back,
+# so the size cannot change a result
 @lru_cache(maxsize=200000)
-def _normalize_ray_cached(group: SurfaceGroup, prefix: Word, tail: Word
-                          ) -> Tuple[Word, Word]:
-    # a bare periodic stream is geodesic when its block is cyclically
+def _normalize_ray_cached(group: SurfaceGroup, tail: Word) -> Word:
+    # a periodic stream is geodesic when its block is cyclically
     # Dehn-reduced: a relator segment has distinct letters, so one in
     # the stream is no longer than the block and is a cyclic window of it;
-    # any other block shortens with every copy and has no normal form
-    if group._shorten(tail, True) != tail:
-        raise ConfigurationError("ray block %r is not cyclically "
+    # any other block shortens with every copy, so its stream is not
+    # geodesic
+    if not tail or group._shorten(tail, True) != tail:
+        raise ConfigurationError("ray block %r is empty or not cyclically "
                                  "Dehn-reduced" % (tail,))
-    if not prefix:
-        return (), tail
-    L = group.relator_length
-    period = len(tail)
-    copies = max(4, (len(prefix) + 2 * L) // period + 3)
-    for attempt in range(4):
-        r1 = group.reduce_word(prefix + tail * copies)
-        r2 = group.reduce_word(prefix + tail * (copies + 1))
-        r3 = group.reduce_word(prefix + tail * (copies + 2))
-        stable = (r2[:len(r1)] == r1 and r3[:len(r2)] == r2
-                  and len(r2) - len(r1) == period
-                  and len(r3) - len(r2) == period)
-        if stable:
-            break
-        copies += 3
-    else:
-        raise InternalError("ray normal form did not stabilize")
-    # split the stable reduced word into prefix + periodic tail
-    for cut in range(len(r1) - period + 1):
-        tail_rot = r2[cut:cut + period]
-        if all(r2[i] == tail_rot[(i - cut) % period]
-               for i in range(cut, len(r2))):
-            return r2[:cut], tail_rot
-    raise InternalError("could not re-periodize a reduced ray")
+    return tail
 
 
 class BoundaryOrder:
@@ -468,22 +447,25 @@ class BoundaryOrder:
     def __init__(self, group: SurfaceGroup):
         self.group = group
 
-    def ray(self, prefix: Sequence[int], tail: Sequence[int]) -> Ray:
-        return Ray(self.group, prefix, tail)
+    def ray(self, tail: Sequence[int]) -> Ray:
+        return Ray(self.group, tail)
 
     def orient(self, r1: Ray, r2: Ray, r3: Ray) -> int:
-        """Cyclic orientation (+1/-1) of three distinct endpoints."""
+        """Cyclic orientation (+1/-1) of three distinct endpoints.
+
+        Both scans end by proof.  Two distinct periodic streams differ
+        within the lcm of their periods (``same_stream``), and the rays
+        are checked pairwise distinct first.  So the scan of all three
+        stops, at the latest, where r1 and r2 first differ, and the scan
+        of r1 and r2 alone stops there too.
+        """
         rays = (r1, r2, r3)
         for a, b in ((0, 1), (0, 2), (1, 2)):
             if rays[a].same_stream(rays[b]):
                 raise InternalError("orientation of coincident endpoints")
         i = 0
-        bound = 4 * (len(r1.prefix) + len(r2.prefix) + len(r3.prefix)
-                     + len(r1.tail) * len(r2.tail) * len(r3.tail)) + 64
         while r1.letter(i) == r2.letter(i) == r3.letter(i):
             i += 1
-            if i > bound:
-                raise InternalError("three rays failed to diverge")
         a, b, c = r1.letter(i), r2.letter(i), r3.letter(i)
         if a != b and b != c and a != c:
             return self.group.cyclic_orientation(a, b, c)
@@ -495,8 +477,6 @@ class BoundaryOrder:
         j = i
         while r1.letter(j) == r2.letter(j):
             j += 1
-            if j > bound:
-                raise InternalError("two rays failed to diverge")
         cut = -r1.letter(j - 1)
         return 1 if self.group.linear_after(cut, r1.letter(j),
                                             r2.letter(j)) else -1

@@ -71,10 +71,8 @@ class DoubleCosetOracle:
                 a, b = rots[i], rots[j]
                 if group.equal(a, b) or group.is_trivial(a + b):
                     continue        # one line, possibly reversed
-                eta_i, xi_i = self.order.ray((), inverse(a)), \
-                    self.order.ray((), a)
-                eta_j, xi_j = self.order.ray((), inverse(b)), \
-                    self.order.ray((), b)
+                eta_i, xi_i = self.order.ray(inverse(a)), self.order.ray(a)
+                eta_j, xi_j = self.order.ray(inverse(b)), self.order.ray(b)
                 if not self.order.linked((eta_i, xi_i), (eta_j, xi_j)):
                     continue
                 label = self.label(w, w[:i] + inverse(w[:j]))

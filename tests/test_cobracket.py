@@ -9,6 +9,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from oracle_double_coset import DoubleCosetOracle, triples
 from oracle_hyperbolic import SelfIntersectionOracle
+from test_words import WORD_LAYER_PIN, word_layer_digest
+from sft_lab import words
 from sft_lab.cobracket import (ClassRegistry, StringTopology, TensorSum,
                                cobracket_coefficients,
                                sporadic_count_from_coefficients)
@@ -37,6 +39,16 @@ def rand_classes(rng, how_many, max_len=6, primitive=False):
         seen.add(cls)
         out.append(cls)
     return out
+
+
+PINNED_BRACKETS = [
+    ((1, 2), (2,), {(1, 2, 2): -1}),
+    ((1, 3), (2, 4), {(1, 2, 4, 3): -1, (1, 3, 4, 2): -1}),
+    ((1, 1, 2), (-1, 2), {(1, 1, 2, -1, 2): -1, (1, 2, 2): -2}),
+    ((1, 2, 3), (-2, 4), {(1, 2, 3, 4, -2): -1, (1, 2, 4, -2, 3): 1}),
+    ((1,), (2, 3, -4), {(1, 3, -4, 2): -1}),
+    ((1, 2), (-2, 4, 3), {(1, 4, 3): 1}),
+]
 
 
 class TestSelfIntersections:
@@ -103,8 +115,9 @@ class TestCobracket:
     def test_co_antisymmetry_sampled(self):
         rng = random.Random(5)
         for cls in rand_classes(rng, 30):
-            cob = ST.cobracket(cls)
-            assert cob.plus(ST.cobracket_swapped(cls)).is_zero()
+            cob = ST.cobracket(cls).terms
+            for (x, y), v in cob.items():
+                assert cob.get((y, x)) == -v, (cls, x, y)
 
     def test_conjugation_invariance(self):
         w = (1, 2, -1, 2)
@@ -147,18 +160,23 @@ class TestBracket:
         # exact terms, so the shared-edge union-find behind the
         # deduplication is checked by value and not only through the
         # algebraic laws below
-        pins = [
-            ((1, 2), (2,), {(1, 2, 2): -1}),
-            ((1, 3), (2, 4), {(1, 2, 4, 3): -1, (1, 3, 4, 2): -1}),
-            ((1, 1, 2), (-1, 2), {(1, 1, 2, -1, 2): -1, (1, 2, 2): -2}),
-            ((1, 2, 3), (-2, 4), {(1, 2, 3, 4, -2): -1,
-                                  (1, 2, 4, -2, 3): 1}),
-            ((1,), (2, 3, -4), {(1, 3, -4, 2): -1}),
-            ((1, 2), (-2, 4, 3), {(1, 4, 3): 1}),
-        ]
-        for w1, w2, terms in pins:
+        for w1, w2, terms in PINNED_BRACKETS:
             assert ST.bracket(G2.canonical_class(w1),
                               G2.canonical_class(w2)).terms == terms
+
+    def test_full_memos_change_nothing(self, monkeypatch):
+        # the word memos are pure: with every memo full from the start,
+        # the word layer and the bracket give the same outputs
+        monkeypatch.setattr(words, "MEMO_CAP", 0)
+        words._normalize_ray_cached.cache_clear()
+        assert word_layer_digest() == WORD_LAYER_PIN
+        group = SurfaceGroup(2)
+        st = StringTopology(group)
+        for w1, w2, terms in PINNED_BRACKETS:
+            assert st.bracket(group.canonical_class(w1),
+                              group.canonical_class(w2)).terms == terms
+        assert not (group._memo_reduce or group._memo_canonical_element
+                    or group._memo_canonical_class)
 
     def test_antisymmetry_sampled(self):
         rng = random.Random(7)
@@ -356,6 +374,34 @@ class TestBracketLaws:
             rhs = acting(a, ST.cobracket(b)).plus(
                 acting(b, ST.cobracket(a)).negated())
             assert lhs == rhs, (a, b)
+
+    def test_involutivity(self):
+        # [., .] o delta = 0 (Chas, Topology 2004): summing v [x, y] over
+        # the terms v x(x)y of delta(w) gives exactly zero; no bracket
+        # term is the trivial class, which canonical_class would reject
+        rng = random.Random(5)
+        seen = set()
+        checked = 0
+        for n in range(2, 8):
+            for _ in range(60):
+                w = tuple(rng.choice(LETTERS) for _ in range(n))
+                try:
+                    cls = G2.canonical_class(w)
+                except TrivialClassError:
+                    continue
+                if cls in seen:
+                    continue
+                seen.add(cls)
+                cob = ST.cobracket(cls)
+                if cob.is_zero():
+                    continue
+                total = TensorSum()
+                for (x, y), v in cob.terms.items():
+                    for z, u in ST.bracket(x, y).terms.items():
+                        total.add(z, v * u)
+                assert total.is_zero(), cls
+                checked += 1
+        assert checked == 180
 
 
 class TestRegistryAndCounts:

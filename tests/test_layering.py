@@ -1,11 +1,13 @@
 """Structure guards: the algebra is geometry-free, the word layer has
-one relator-segment scan, and the loop layer identifies crossings by
-one union-find."""
+one relator-segment scan, a ray is one periodic block, and the loop
+layer identifies crossings by one union-find."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import sft_lab
+from sft_lab.words import BoundaryOrder, Ray
 
 GEOMETRY = {"indexcalc", "model", "enumerator", "cli"}
 
@@ -92,3 +94,12 @@ def test_cobracket_identifies_crossings_by_one_union_find():
     names = {getattr(node, "name", getattr(node, "id", None))
              for node in ast.walk(module_tree("cobracket"))}
     assert not names & {"CONNECTOR_RADIUS", "_reduced_words", "_power"}
+
+
+def test_ray_is_one_periodic_block():
+    # a ray is the stream of its block: no prefix, and the block is only
+    # checked, never reduced into a normal form
+    assert Ray.__slots__ == ("tail",)
+    assert list(inspect.signature(BoundaryOrder.ray).parameters) == [
+        "self", "tail"]
+    assert "_normalize_ray_cached" not in callers("words", "reduce_word")
