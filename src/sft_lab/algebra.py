@@ -7,6 +7,9 @@ keyed by genus and ordered positive/negative orbit tuples, induces a
 differential: each table entry contributes a monomial-times-derivation
 operator weighted by the count divided by a combinatorial factor, and
 entries with p positive orbits and genus g act at order h^(p+g-1).
+The table compiles each entry into its operator once, when it is
+built, and ``apply_D_exact`` applies all of them in one pass.  Since h
+is even and central, D commutes with it: D(h^j m) = h^j D(m).
 
 Coefficients are exact ``fractions.Fraction`` values throughout; the
 linear solver used for torsion certificates is fraction-free integer
@@ -38,10 +41,6 @@ def monomial_gen(gen_id: str) -> Monomial:
 
 def monomial_length(m: Monomial) -> int:
     return sum(e for _, e in m[1])
-
-
-def monomial_times_hbar(m: Monomial, j: int) -> Monomial:
-    return (m[0] + j, m[1])
 
 
 @dataclass(frozen=True)
@@ -135,10 +134,6 @@ class AlgebraElement:
                     self.terms[m] = c
 
     @classmethod
-    def zero(cls) -> "AlgebraElement":
-        return cls()
-
-    @classmethod
     def one(cls) -> "AlgebraElement":
         return cls({MONOMIAL_ONE: Fraction(1)})
 
@@ -182,10 +177,6 @@ class AlgebraElement:
         if not c:
             return AlgebraElement()
         return AlgebraElement({m: v * c for m, v in self.terms.items()})
-
-    def times_hbar(self, j: int) -> "AlgebraElement":
-        return AlgebraElement({monomial_times_hbar(m, j): c
-                               for m, c in self.terms.items()})
 
 
 def multiply_generator(gens: GeneratorSet, gen_id: str,
@@ -293,6 +284,7 @@ class Truncation:
 
 
 CountKey = Tuple[int, Tuple[str, ...], Tuple[str, ...]]
+Operator = Tuple[int, Tuple[str, ...], Tuple[str, ...], Fraction]
 
 
 class CurveCountTable:
@@ -300,7 +292,10 @@ class CurveCountTable:
 
     Entries with no positive orbit are rejected: every curve in an
     exact setting has a positive end, and this is exactly what makes
-    the differential annihilate the unit.
+    the differential annihilate the unit.  ``operators`` holds each
+    entry compiled once, in key order: its h shift genus + p - 1, its
+    positive and negative ids, and its count divided by the
+    combinatorial factor.
     """
 
     def __init__(self, gens: GeneratorSet,
@@ -323,10 +318,10 @@ class CurveCountTable:
             key = (genus, tuple(pos), tuple(neg))
             self.entries[key] = self.entries.get(key, Fraction(0)) + value
         self.entries = {k: v for k, v in self.entries.items() if v}
-
-    def orders(self) -> List[int]:
-        return sorted({genus + len(pos)
-                       for genus, pos, _ in self.entries})
+        self.operators: List[Operator] = [
+            (genus + len(pos) - 1, pos, neg,
+             value / combinatorial_factor(gens, neg, pos))
+            for (genus, pos, neg), value in sorted(self.entries.items())]
 
     def is_parity_odd(self) -> bool:
         """True when every entry defines a parity-odd operator."""
@@ -346,84 +341,39 @@ def combinatorial_factor(gens: GeneratorSet, neg: Sequence[str],
     return value
 
 
-def _apply_entry(gens: GeneratorSet, key: CountKey, value: Fraction,
-                 x: AlgebraElement) -> AlgebraElement:
-    genus, pos, neg = key
-    weight = value / combinatorial_factor(gens, neg, pos)
-    out = AlgebraElement()
-    for m, c in x.terms.items():
-        coeff = c * weight
-        results: List[Tuple[Fraction, Monomial]] = [(coeff, m)]
-        # rightmost derivative acts first
-        for gid in reversed(pos):
-            nxt: List[Tuple[Fraction, Monomial]] = []
-            for cf, mono in results:
-                d, reduced = derive_generator(gens, gid, mono)
-                if d and reduced is not None:
-                    nxt.append((cf * d, reduced))
-            results = nxt
-            if not results:
-                break
-        for gid in reversed(neg):
-            nxt = []
-            for cf, mono in results:
-                s, grown = multiply_generator(gens, gid, mono)
-                if s and grown is not None:
-                    nxt.append((cf * s, grown))
-            results = nxt
-            if not results:
-                break
-        for cf, mono in results:
-            out.add_term(mono, cf)
-    return out
-
-
-def apply_Dk(k: int, counts: CurveCountTable,
-             x: AlgebraElement) -> AlgebraElement:
-    """Order-k part of the differential, without its h^(k-1) factor.
-
-    Table entries whose positive-orbit count plus genus differs from k
-    are skipped.
-    """
-    if k < 1:
-        raise ValidationError("the differential starts at order 1")
-    gens = counts.gens
-    out = AlgebraElement()
-    for key, value in sorted(counts.entries.items()):
-        genus, pos, neg = key
-        if genus + len(pos) != k:
-            continue
-        part = _apply_entry(gens, key, value, x)
-        for m, c in part.terms.items():
-            out.add_term(m, c)
-    return out
-
-
 def apply_D_exact(counts: CurveCountTable,
                   x: AlgebraElement) -> AlgebraElement:
-    """Full differential with no truncation."""
+    """Full differential with no truncation, in one pass over the
+    compiled operators of ``counts``."""
+    gens = counts.gens
     out = AlgebraElement()
-    for k in counts.orders():
-        part = apply_Dk(k, counts, x)
-        for m, c in part.times_hbar(k - 1).terms.items():
-            out.add_term(m, c)
+    for shift, pos, neg, weight in counts.operators:
+        for (hbar, factors), c in x.terms.items():
+            results: List[Tuple[Fraction, Monomial]] = [
+                (c * weight, (hbar + shift, factors))]
+            # rightmost derivative acts first
+            for gid in reversed(pos):
+                nxt: List[Tuple[Fraction, Monomial]] = []
+                for cf, mono in results:
+                    d, reduced = derive_generator(gens, gid, mono)
+                    if reduced is not None:
+                        nxt.append((cf * d, reduced))
+                results = nxt
+            for gid in reversed(neg):
+                nxt = []
+                for cf, mono in results:
+                    s, grown = multiply_generator(gens, gid, mono)
+                    if grown is not None:
+                        nxt.append((cf * s, grown))
+                results = nxt
+            for cf, mono in results:
+                out.add_term(mono, cf)
     return out
 
 
-def apply_D(counts: CurveCountTable, x: AlgebraElement,
-            trunc: Optional[Truncation] = None) -> AlgebraElement:
-    """Differential sum of h^(k-1) * (order-k part), truncated."""
-    out = apply_D_exact(counts, x)
-    if trunc is not None:
-        gens = counts.gens
-        out = AlgebraElement({m: c for m, c in out.terms.items()
-                              if trunc.admits(gens, m)})
-    return out
-
-
-def basis_monomials(gens: GeneratorSet, trunc: Truncation,
-                    with_hbar: bool = False) -> List[Monomial]:
-    """All monomials inside the truncation window, deterministic order.
+def basis_monomials(gens: GeneratorSet, trunc: Truncation
+                    ) -> List[Monomial]:
+    """All words inside the truncation window at h^0, sorted.
 
     Odd generators appear with exponent at most one.
     """
@@ -451,12 +401,7 @@ def basis_monomials(gens: GeneratorSet, trunc: Truncation,
                 nxt.append(grown)
         words.extend(nxt)
         frontier = nxt
-    out: List[Monomial] = []
-    hbar_range = range(trunc.hbar_max + 1) if with_hbar else (0,)
-    for j in hbar_range:
-        for w in sorted(words):
-            out.append((j, w))
-    return out
+    return [(0, w) for w in sorted(words)]
 
 
 def check_square_zero(counts: CurveCountTable, trunc: Truncation):
@@ -547,6 +492,9 @@ def torsion_order(counts: CurveCountTable, trunc: Truncation,
     element x satisfying D x = h^k on the nose.  A truncated window can
     certify torsion but never its absence, hence "unknown" instead of
     infinity when no order is found.
+
+    D commutes with h, so D is applied once to each basis word m, and
+    the image of h^j m is that image shifted by j.
     """
     if require_square_zero:
         ok, witness = check_square_zero(counts, trunc)
@@ -554,22 +502,26 @@ def torsion_order(counts: CurveCountTable, trunc: Truncation,
             raise SquareZeroError(
                 "differential does not square to zero", witness=witness)
     gens = counts.gens
+    basis = basis_monomials(gens, trunc)
+    word_images = [apply_D_exact(counts, AlgebraElement({m: Fraction(1)}))
+                   for m in basis]
     candidates = []
     images = []
-    for m in basis_monomials(gens, trunc, with_hbar=True):
-        x = AlgebraElement({m: Fraction(1)})
-        image = apply_D_exact(counts, x)
-        if all(trunc.admits(gens, t) for t in image.terms):
-            candidates.append(m)
-            images.append(image)
+    for j in range(trunc.hbar_max + 1):
+        for (_, word), image in zip(basis, word_images):
+            shifted = {(hbar + j, w): c
+                       for (hbar, w), c in image.terms.items()}
+            if all(trunc.admits(gens, t) for t in shifted):
+                candidates.append((j, word))
+                images.append(shifted)
     if not candidates:
         return TorsionResult(order=None)
-    target_monomials = sorted({t for img in images for t in img.terms}
+    target_monomials = sorted({t for img in images for t in img}
                               | {(k, ()) for k in range(trunc.hbar_max + 1)})
     row_of = {t: i for i, t in enumerate(target_monomials)}
     rows = [[Fraction(0)] * len(candidates) for _ in target_monomials]
     for j, img in enumerate(images):
-        for t, c in img.terms.items():
+        for t, c in img.items():
             rows[row_of[t]][j] = c
     for k in range(trunc.hbar_max + 1):
         rhs = [Fraction(0)] * len(target_monomials)

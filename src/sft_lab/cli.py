@@ -21,16 +21,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .algebra import (AlgebraElement, CurveCountTable, Generator,
-                      GeneratorSet, Truncation, apply_D, check_square_zero,
-                      monomial_gen, torsion_order)
+                      GeneratorSet, Truncation, check_square_zero,
+                      torsion_order)
 from .cobracket import (ClassRegistry, StringTopology, cobracket_coefficients,
                         sporadic_count_from_coefficients)
 from .covers import (BranchProfile, double_point_budget,
                      enumerate_branch_profiles, super_rigidity_verdict,
                      total_branching)
 from .enumerator import classification_document
-from .errors import (ConsistencyError, InternalError, SftLabError,
-                     SquareZeroError, ValidationError)
+from .errors import (ConsistencyError, InternalError, SquareZeroError,
+                     ValidationError)
 from .indexcalc import (PunctureProfile, automatic_transversality,
                         gluing_base_dim, kernel_bound, normal_index,
                         obstruction_rank, regularity_transfer)

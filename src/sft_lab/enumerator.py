@@ -39,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .covers import BranchProfile, _fiber_partitions
 from .errors import ConfigurationError, ConsistencyError, NoTwinError

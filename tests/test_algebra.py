@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -7,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sft_lab.algebra import (ODD, EVEN, AlgebraElement, CurveCountTable,
-                             Generator, GeneratorSet, MONOMIAL_ONE, Truncation,
-                             apply_D, apply_D_exact, apply_Dk,
-                             basis_monomials, check_square_zero,
+                             Generator, GeneratorSet, Truncation,
+                             apply_D_exact, basis_monomials, check_square_zero,
                              combinatorial_factor, derive_generator,
                              monomial_gen, multiply_elements,
                              multiply_generator, multiply_monomials,
@@ -33,6 +33,56 @@ def element(*pairs):
     for coeff, mono in pairs:
         out.add_term(mono, Fraction(coeff))
     return out
+
+
+# -- the differential, pinned -------------------------------------------------
+
+PIN_TRUNC = Truncation(hbar_max=2, length_max=3, action_cap=Fraction(6))
+
+
+def pin_tables():
+    """150 seeded tables: mixed parities, covers 1-2, even powers,
+    genus 0-2, 1-3 positive and 0-2 negative ids, rational counts."""
+    rng = random.Random(1903)
+    for _ in range(150):
+        gens = make_gens([("x%d" % i, rng.choice((EVEN, ODD)),
+                           rng.randint(1, 2), rng.randint(1, 2))
+                          for i in range(rng.randint(2, 4))])
+        ids = list(gens)
+        entries = {}
+        for _ in range(rng.randint(1, 4)):
+            pos = tuple(rng.choice(ids) for _ in range(rng.randint(1, 3)))
+            neg = tuple(rng.choice(ids) for _ in range(rng.randint(0, 2)))
+            entries[(rng.randint(0, 2), pos, neg)] = Fraction(
+                rng.randint(-4, 4), rng.randint(1, 3))
+        yield CurveCountTable(gens, entries)
+
+
+def differential_digest():
+    """sha256 over D of every basis word at h^0..h^2 and over the torsion
+    order and certificate of each pin table."""
+    digest = hashlib.sha256()
+    for counts in pin_tables():
+        for _, word in basis_monomials(counts.gens, PIN_TRUNC):
+            for j in range(3):
+                image = apply_D_exact(counts,
+                                      AlgebraElement({(j, word): Fraction(1)}))
+                digest.update(repr(sorted(image.terms.items())).encode())
+        res = torsion_order(counts, PIN_TRUNC, require_square_zero=False)
+        cert = (sorted(res.certificate.terms.items())
+                if res.certificate is not None else None)
+        digest.update(repr((res.label, cert)).encode())
+    return digest.hexdigest()
+
+
+# differential_digest() of the per-order differential; any rewrite of D
+# must reproduce it
+DIFFERENTIAL_PIN = (
+    "815e95fae6d197509ce0109ce5da38e1857feb8f6ed5a2a756114f8e50d1e068")
+
+
+def test_differential_pin():
+    assert differential_digest() == DIFFERENTIAL_PIN
 
 
 class TestGenerators:
@@ -144,6 +194,64 @@ class TestAlgebraLaws:
             assert multiply_monomials(gens, m, m) == (0, None)
 
 
+# entry shapes (positive ends, negative ends) with an odd number of ends
+ODD_SHAPES = ((1, 0), (1, 2), (2, 1), (3, 0), (3, 2))
+
+
+@st.composite
+def parity_odd_tables(draw):
+    """A table whose differential squares to zero: every generator is
+    odd, the first half only multiply, the second half only
+    differentiate, and every entry has an odd number of ends.  The
+    entry operators are then odd, square to zero and anticommute."""
+    n = draw(st.integers(2, 6))
+    gens = GeneratorSet(Generator("g%d" % i, ODD, draw(st.integers(1, 2)))
+                        for i in range(n))
+    coeffs, derivs = list(gens)[:n // 2], list(gens)[n // 2:]
+    entries = {}
+    for _ in range(draw(st.integers(1, 5))):
+        n_pos, n_neg = draw(st.sampled_from(ODD_SHAPES))
+        pos = draw(st.lists(st.sampled_from(derivs), min_size=n_pos,
+                            max_size=n_pos))
+        neg = draw(st.lists(st.sampled_from(coeffs), min_size=n_neg,
+                            max_size=n_neg))
+        entries[(draw(st.integers(0, 2)), tuple(pos), tuple(neg))] = \
+            Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return CurveCountTable(gens, entries)
+
+
+@st.composite
+def count_tables(draw):
+    """A table of mixed parity over a random GeneratorSet."""
+    gens = draw(generator_sets())
+    ids = st.sampled_from(list(gens))
+    keys = st.tuples(st.integers(0, 2),
+                     st.lists(ids, min_size=1, max_size=3).map(tuple),
+                     st.lists(ids, max_size=2).map(tuple))
+    values = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return CurveCountTable(gens, draw(st.dictionaries(keys, values,
+                                                      max_size=4)))
+
+
+class TestDifferentialLaws:
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(parity_odd_tables())
+    def test_parity_odd_tables_square_to_zero(self, counts):
+        trunc = Truncation(hbar_max=2, length_max=3, action_cap=Fraction(20))
+        assert check_square_zero(counts, trunc) == (True, None)
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(st.data())
+    def test_D_commutes_with_hbar(self, data):
+        counts = data.draw(count_tables())
+        j, word = data.draw(monomials(counts.gens))
+        image = apply_D_exact(counts, AlgebraElement({(0, word): Fraction(1)}))
+        shifted = AlgebraElement({(hbar + j, w): c
+                                  for (hbar, w), c in image.terms.items()})
+        assert apply_D_exact(
+            counts, AlgebraElement({(j, word): Fraction(1)})) == shifted
+
+
 class TestMonomialOps:
     def test_odd_generator_squares_to_zero(self):
         s, m = multiply_generator(GENS, "a", monomial_gen("a"))
@@ -206,27 +314,27 @@ class TestCombinatorialFactor:
 class TestDifferential:
     def test_plane_count_gives_unit(self):
         counts = CurveCountTable(GENS, {(0, ("a",), ()): Fraction(1)})
-        out = apply_Dk(1, counts, AlgebraElement.generator("a"))
+        out = apply_D_exact(counts, AlgebraElement.generator("a"))
         assert out == AlgebraElement.one()
 
     def test_sporadic_count_order_two(self):
         counts = CurveCountTable(GENS, {(1, ("a",), ()): Fraction(5)})
-        out = apply_Dk(2, counts, AlgebraElement.generator("a"))
-        assert out == element((5, MONOMIAL_ONE))
+        out = apply_D_exact(counts, AlgebraElement.generator("a"))
+        assert out == element((5, (1, ())))
 
     def test_unit_is_closed(self):
         counts = CurveCountTable(GENS, {(0, ("a",), ("b",)): Fraction(2),
                                         (1, ("c",), ()): Fraction(3)})
-        assert apply_D(counts, AlgebraElement.one(), TRUNC).is_zero()
+        assert apply_D_exact(counts, AlgebraElement.one()).is_zero()
 
     def test_empty_table(self):
         counts = CurveCountTable(GENS, {})
-        assert apply_D(counts, AlgebraElement.generator("a"), TRUNC).is_zero()
+        assert apply_D_exact(counts, AlgebraElement.generator("a")).is_zero()
 
     def test_hbar_weighting(self):
         counts = CurveCountTable(GENS, {(1, ("a",), ()): Fraction(5)})
         x = AlgebraElement.generator("a").scaled(Fraction(1, 5))
-        assert apply_D(counts, x, TRUNC) == element((1, (1, ())))
+        assert apply_D_exact(counts, x) == element((1, (1, ())))
 
     def test_no_empty_positive_keys(self):
         with pytest.raises(ValidationError):
@@ -237,7 +345,7 @@ class TestDifferential:
         # factorial 2 in the derivative; count 6 survives as 6.
         counts = CurveCountTable(GENS, {(0, ("b", "b"), ()): Fraction(6)})
         x = AlgebraElement({(0, (("b", 2),)): Fraction(1)})
-        out = apply_D(counts, x, TRUNC)
+        out = apply_D_exact(counts, x)
         assert out == element((6, (1, ())))
 
     def test_derivation_leibniz_order_one(self):
@@ -252,10 +360,10 @@ class TestDifferential:
             x = element((1, ma))
             y = element((1, mb))
             prod = multiply_elements(GENS, x, y)
-            lhs = apply_Dk(1, counts, prod)
+            lhs = apply_D_exact(counts, prod)
             sign = Fraction(-1 if GENS.monomial_parity(ma) else 1)
-            rhs = multiply_elements(GENS, apply_Dk(1, counts, x), y).plus(
-                multiply_elements(GENS, x, apply_Dk(1, counts, y))
+            rhs = multiply_elements(GENS, apply_D_exact(counts, x), y).plus(
+                multiply_elements(GENS, x, apply_D_exact(counts, y))
                 .scaled(sign))
             assert lhs == rhs, (ma, mb)
 
@@ -391,7 +499,7 @@ class TestParityOddness:
                 entries[(genus, pos, neg)] = Fraction(rng.randint(-3, 3))
             counts = CurveCountTable(GENS, entries)
             assert counts.is_parity_odd()
-            assert apply_D(counts, AlgebraElement.one(), TRUNC).is_zero()
+            assert apply_D_exact(counts, AlgebraElement.one()).is_zero()
             for m in basis_monomials(GENS, Truncation(1, 2, Fraction(8))):
                 x = AlgebraElement({m: Fraction(1)})
                 img = apply_D_exact(counts, x)

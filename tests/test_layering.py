@@ -1,20 +1,43 @@
-"""Structure guards: the algebra is geometry-free, the word layer has
-one relator-segment scan, a ray is one periodic block, and the loop
-layer identifies crossings by one union-find."""
+"""Structure guards: every import is used, the algebra is geometry-free
+and applies its differential in one pass over compiled operators, the
+word layer has one relator-segment scan, a ray is one periodic block,
+and the loop layer identifies crossings by one union-find."""
 
 import ast
 import inspect
 from pathlib import Path
 
 import sft_lab
+from sft_lab.algebra import basis_monomials
 from sft_lab.words import BoundaryOrder, Ray
 
 GEOMETRY = {"indexcalc", "model", "enumerator", "cli"}
+PACKAGE = Path(sft_lab.__file__).parent
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
 def module_tree(module: str) -> ast.Module:
-    path = Path(sft_lab.__file__).parent / (module + ".py")
-    return ast.parse(path.read_text())
+    return ast.parse((PACKAGE / (module + ".py")).read_text())
+
+
+def test_no_unused_imports():
+    unused = []
+    for module in MODULES:
+        tree = module_tree(module)
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                imported.update(alias.asname or alias.name
+                                for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0]
+                                for alias in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += ["%s.%s" % (module, name)
+                   for name in sorted(imported - read)]
+    assert unused == []
 
 
 def package_imports(module: str):
@@ -103,3 +126,22 @@ def test_ray_is_one_periodic_block():
     assert list(inspect.signature(BoundaryOrder.ray).parameters) == [
         "self", "tail"]
     assert "_normalize_ray_cached" not in callers("words", "reduce_word")
+
+
+def test_algebra_applies_compiled_operators_in_one_pass():
+    # each entry is divided by its combinatorial factor once, when the
+    # table is built, and only apply_D_exact reads the compiled operators
+    for module in MODULES:
+        readers = attribute_readers(module, "operators")
+        factor_calls = callers(module, "combinatorial_factor")
+        if module == "algebra":
+            assert readers == {"__init__", "apply_D_exact"}
+            assert factor_calls == {"__init__"}
+        else:
+            assert readers == factor_calls == set()
+    defined = {node.name for node in ast.walk(module_tree("algebra"))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"apply_Dk", "apply_D", "_apply_entry",
+                          "times_hbar", "orders", "monomial_times_hbar"}
+    assert list(inspect.signature(basis_monomials).parameters) == [
+        "gens", "trunc"]
