@@ -11,16 +11,16 @@ The table compiles each entry into its operator once, when it is
 built, and ``apply_D_exact`` applies all of them in one pass.  Since h
 is even and central, D commutes with it: D(h^j m) = h^j D(m).
 
-Coefficients are exact ``fractions.Fraction`` values throughout; the
-linear solver used for torsion certificates is fraction-free integer
-elimination.  Cancellations of opposite counts are therefore exact.
+Coefficients are exact ``fractions.Fraction`` values throughout, and
+the linear solver used for torsion certificates is sparse elimination
+over them.  Cancellations of opposite counts are therefore exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (ConfigurationError, InternalError, SquareZeroError,
@@ -275,7 +275,9 @@ class Truncation:
 
     def __post_init__(self):
         if self.hbar_max < 0 or self.length_max < 0 or self.action_cap <= 0:
-            raise ConfigurationError("truncation bounds must be positive")
+            raise ConfigurationError(
+                "truncation needs hbar_max >= 0, length_max >= 0 and "
+                "action_cap > 0")
 
     def admits(self, gens: GeneratorSet, m: Monomial) -> bool:
         return (m[0] <= self.hbar_max
@@ -427,46 +429,69 @@ def solve_exact(rows: List[List[Fraction]], rhs: List[Fraction]
                 ) -> Optional[List[Fraction]]:
     """One exact solution of A x = b over the rationals, or None.
 
-    Clears denominators row by row and runs fraction-free (Bareiss)
-    elimination on the integer matrix, so no intermediate rounding can
-    occur.
+    Sparse elimination over ``Fraction``s: each row and its rhs entry
+    become a dict of non-zeros, and a column index keeps the live rows
+    that hold each column.  The columns are walked left to right; the
+    pivot of a column is its live row with the fewest non-zeros (ties
+    go to the lower row index), and only the rows holding the column
+    are eliminated.  Back-substitution sets the free columns to 0.
+
+    The result does not depend on the choice of pivot rows.  Row
+    operations keep every linear dependency among the columns, so
+    column c gets a pivot exactly when it is not in the span of the
+    columns left of it: the pivot columns P are the greedy (leftmost)
+    column basis of A, whichever row is chosen.  A_P has full column
+    rank, so A_P x_P = b has at most one solution, and with the free
+    variables at 0 the solution is unique.  Dense elimination that
+    walks the columns in the same order (such as Bareiss) therefore
+    returns the same list.
     """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    m: List[List[int]] = []
-    for row, b in zip(rows, rhs):
-        denom = lcm(*(v.denominator for v in list(row) + [b]))
-        m.append([int(v * denom) for v in list(row) + [b]])
-    prev = 1
-    piv_rows: List[Tuple[int, int]] = []   # (row, col) of pivots
-    r = 0
+    n_cols = len(rows[0]) if rows else 0
+    live: List[Dict[int, Fraction]] = []   # rhs under key n_cols
+    holding: Dict[int, set] = {}
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        sparse = {j: Fraction(v) for j, v in enumerate(row) if v}
+        if b:
+            sparse[n_cols] = Fraction(b)
+        live.append(sparse)
+        for j in sparse:
+            holding.setdefault(j, set()).add(i)
+    pivots: List[Tuple[int, Dict[int, Fraction]]] = []
     for c in range(n_cols):
-        piv = None
-        for i in range(r, n_rows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
+        holders = holding.pop(c, None)
+        if not holders:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, n_rows):
-            for j in range(c + 1, n_cols + 1):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        piv_rows.append((r, c))
-        r += 1
-        if r == n_rows:
-            break
-    for i in range(r, n_rows):
-        if m[i][n_cols] != 0:
-            return None
+        p = min(holders, key=lambda i: (len(live[i]), i))
+        holders.discard(p)
+        prow = live[p]
+        for j in prow:
+            if j != c:
+                holding[j].discard(p)
+        pv = prow[c]
+        for i in holders:
+            row = live[i]
+            f = row.pop(c) / pv
+            for j, v in prow.items():
+                if j == c:
+                    continue
+                new = row.get(j, 0) - f * v
+                if new:
+                    if j not in row:
+                        holding[j].add(i)
+                    row[j] = new
+                else:
+                    del row[j]
+                    holding[j].discard(i)
+        pivots.append((c, prow))
+    if holding.get(n_cols):
+        return None     # a row reduced to 0 = b with b non-zero
     solution = [Fraction(0)] * n_cols
-    for row, col in reversed(piv_rows):
-        acc = Fraction(m[row][n_cols])
-        for j in range(col + 1, n_cols):
-            acc -= m[row][j] * solution[j]
-        solution[col] = acc / m[row][col]
+    for c, prow in reversed(pivots):
+        acc = prow.get(n_cols, Fraction(0))
+        for j, v in prow.items():
+            if c < j < n_cols:
+                acc -= v * solution[j]
+        solution[c] = acc / prow[c]
     return solution
 
 

@@ -210,7 +210,7 @@ def cmd_torsion(args) -> int:
     trunc = Truncation(hbar_max=args.trunc_hbar, length_max=args.trunc_len,
                        action_cap=_rational("--action-cap",
                                             args.action_cap))
-    square_ok, witness = (True, None)
+    square_ok = None        # null in the document: no check ran
     if not args.skip_square_check:
         square_ok, witness = check_square_zero(counts, trunc)
         if not square_ok:

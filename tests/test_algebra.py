@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_bareiss import bareiss_solve
 
 from sft_lab.algebra import (ODD, EVEN, AlgebraElement, CurveCountTable,
                              Generator, GeneratorSet, Truncation,
@@ -83,6 +84,59 @@ DIFFERENTIAL_PIN = (
 
 def test_differential_pin():
     assert differential_digest() == DIFFERENTIAL_PIN
+
+
+# -- torsion certificates of finite-order tables, pinned ----------------------
+
+# (positive ends, negative ends) of an entry; (1, 0) and (3, 0) reach
+# constants, so the torsion order is finite
+FINITE_SHAPES = ((1, 2), (2, 1), (1, 0), (3, 0))
+TORSION_TRUNC = Truncation(hbar_max=3, length_max=4, action_cap=Fraction(100))
+
+
+def finite_order_table(rng, n_gens, n_entries):
+    """A table of odd generators whose differential squares to zero.
+
+    The first half of the generators only multiply, the second half only
+    differentiate, and every entry has an odd number of ends, so the
+    entry operators square to zero and anticommute.  Entries cycle
+    through the shapes and genus 0 and 1."""
+    ids = ["g%02d" % i for i in range(n_gens)]
+    coeffs, derivs = ids[:n_gens // 2], ids[n_gens // 2:]
+    entries = {}
+    while len(entries) < n_entries:
+        n_pos, n_neg = FINITE_SHAPES[len(entries) % len(FINITE_SHAPES)]
+        key = (len(entries) // len(FINITE_SHAPES) % 2,
+               tuple(sorted(rng.sample(derivs, n_pos))),
+               tuple(sorted(rng.sample(coeffs, n_neg))))
+        value = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+        entries.setdefault(key, value)
+    return CurveCountTable(GeneratorSet(Generator(g, ODD) for g in ids),
+                           entries)
+
+
+def torsion_digest():
+    """sha256 over the torsion order and certificate of seeded
+    finite-order tables of 8/16, 10/24 and 12/32 generators/entries."""
+    rng = random.Random(1903)
+    digest = hashlib.sha256()
+    for n_gens, n_entries in ((8, 16), (10, 24), (12, 32)):
+        counts = finite_order_table(rng, n_gens, n_entries)
+        res = torsion_order(counts, TORSION_TRUNC, require_square_zero=False)
+        cert = (sorted(res.certificate.terms.items())
+                if res.certificate is not None else None)
+        digest.update(repr((res.label, cert)).encode())
+    return digest.hexdigest()
+
+
+# torsion_digest() computed with dense Bareiss elimination; the sparse
+# solver must reproduce its certificates exactly
+TORSION_PIN = (
+    "a485c1a0b338fc08f928ebfbafa88105af17633ce80caaac0cd04eeee0772bfa")
+
+
+def test_torsion_pin():
+    assert torsion_digest() == TORSION_PIN
 
 
 class TestGenerators:
@@ -391,7 +445,47 @@ class TestSquareZero:
         assert ok
 
 
+@st.composite
+def sparse_systems(draw):
+    """A rational system A x = b of up to 10 x 10 with a drawn density,
+    drawn zero rows and columns, and b either A x for a drawn x
+    (consistent) or drawn freely (often inconsistent)."""
+    n_rows, n_cols = draw(st.integers(0, 10)), draw(st.integers(1, 10))
+    density = draw(st.integers(0, 10))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+    def cell():
+        if draw(st.integers(1, 10)) > density:
+            return Fraction(0)
+        return draw(entry)
+    zero_rows = draw(st.sets(st.integers(0, n_rows)))
+    zero_cols = draw(st.sets(st.integers(0, n_cols)))
+    rows = [[Fraction(0) if i in zero_rows or j in zero_cols else cell()
+             for j in range(n_cols)] for i in range(n_rows)]
+    if draw(st.booleans()):
+        xs = [draw(entry) for _ in range(n_cols)]
+        rhs = [sum((a * x for a, x in zip(row, xs)), Fraction(0))
+               for row in rows]
+    else:
+        rhs = [cell() for _ in range(n_rows)]
+    return rows, rhs
+
+
 class TestSolver:
+    @settings(deadline=None, derandomize=True, max_examples=500)
+    @given(sparse_systems())
+    def test_equals_dense_bareiss(self, system):
+        rows, rhs = system
+        assert solve_exact(rows, rhs) == bareiss_solve(rows, rhs)
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(st.data())
+    def test_row_permutation_keeps_the_solution(self, data):
+        rows, rhs = data.draw(sparse_systems())
+        perm = data.draw(st.permutations(range(len(rows))))
+        assert solve_exact([rows[i] for i in perm],
+                           [rhs[i] for i in perm]) == solve_exact(rows, rhs)
+
     def test_simple_system(self):
         rows = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(3)]]
         sol = solve_exact(rows, [Fraction(5), Fraction(6)])

@@ -142,6 +142,27 @@ class TestTorsionCommand:
         assert code == 3
         assert json.loads(out)["square_zero"] is False
 
+    def test_skipped_square_check_is_reported_as_null(self, capsys,
+                                                      tmp_path):
+        counts = write_counts(tmp_path / "c.json",
+                              [{"genus": 1, "positive": ["q_i"],
+                                "value": "5"}])
+        code, out = run(capsys, "torsion", "--counts", counts,
+                        "--skip-square-check")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["square_zero"] is None and doc["torsion_order"] == "1"
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--trunc-hbar", "0"], 0), (["--trunc-len", "0"], 0),
+        (["--trunc-hbar", "-1"], 2), (["--trunc-len", "-1"], 2),
+        (["--action-cap", "0"], 2)])
+    def test_truncation_bounds(self, capsys, tmp_path, argv, code):
+        counts = write_counts(tmp_path / "c.json", [])
+        assert main(["torsion", "--counts", counts] + argv) == code
+        if code == 2:
+            assert "truncation needs" in capsys.readouterr().err
+
     def test_missing_file_is_validation_error(self, capsys):
         code, _ = run(capsys, "torsion", "--counts", "/nonexistent.json")
         assert code == 2
