@@ -28,6 +28,13 @@ Component menus implement the structural facts of the model:
   leaf index is even (the convention pinning the published counts; see
   the run manifest).
 
+Euler characteristic adds up when components are glued along circles,
+so the components of a configuration with genus + ends <= 2 have
+chi = 2 - 2g - #ends in {0, -1}, at most one of them -1, and the
+plane case (genus 0, one end) is empty.  The menu holds only such
+components, and a configuration has one bottom component and at most
+two per level (the proof is in ``_search``).
+
 The total index of a configuration is one, recomputed through the
 index calculus from the orbit data, never trusted from construction.
 """
@@ -170,20 +177,23 @@ def twin(b: Building) -> Building:
 # component menu
 
 
-def _realizable_cover(degree: int, up: Tuple[int, ...], down: Tuple[int, ...],
-                      genus_cap: int) -> List[int]:
-    """Genera of connected covers of an orbit cylinder with these ends."""
-    punctures = len(up) + len(down)
+# (genus, ends) of every menu component: chi = 2 - 2g - ends is 0 or -1
+SHAPES = ((0, 2), (0, 3), (1, 1))
+
+
+def _realizable_cover(degree: int, up: Tuple[int, ...], down: Tuple[int, ...]
+                      ) -> List[int]:
+    """Genera of connected covers of an orbit cylinder with these ends
+    and a shape in ``SHAPES``."""
     out = []
-    # chi(S) = -Z and chi(S) = 2 - 2g - punctures
-    for genus in range(genus_cap + 1):
-        z = 2 * genus - 2 + punctures
-        if z < 0:
+    for genus, ends in SHAPES:
+        if ends != len(up) + len(down):
             continue
+        z = 2 * genus - 2 + ends    # chi(S) = -Z = 2 - 2g - punctures
         bp = BranchProfile(degree=degree, interior_vanishing=z,
                            puncture_multiplicities=up + down,
                            base_punctures=2, base_euler=0)
-        if bp.is_realizable() and bp.cover_genus == genus:
+        if bp.is_realizable():
             out.append(genus)
     return out
 
@@ -197,41 +207,27 @@ def _left_symplectization(cfg: ModelConfig) -> List[Component]:
             up_type = down_type = leaf.name
         else:
             up_type, down_type = SIGMA_MIN, SIGMA_HYP_LEFT
-        for genus in range(cfg.max_genus_component + 1):
-            for n_pos in range(1, cfg.max_ends_per_component + 1):
-                for n_neg in range(0, cfg.max_ends_per_component + 1 - n_pos):
-                    total = n_pos + n_neg
-                    if genus == 0 and total == 1:
-                        continue            # plane at a loop orbit
-                    leaf_index = 2 * genus + total - 2
-                    is_trivial_shape = (genus == 0 and n_pos == 1
-                                        and n_neg == 1
-                                        and leaf.kind == "cyl")
-                    if leaf_index == 0 and not is_trivial_shape \
-                            and leaf.kind == "cyl":
-                        continue            # zero-energy, must be trivial
-                    if leaf_index == 0 and leaf.kind == "flow1" \
-                            and (genus, n_pos, n_neg) != (0, 1, 1):
+        for genus, total in SHAPES:
+            for n_pos in range(1, total + 1):
+                cylinder = (genus, total, n_pos) == (0, 2, 1)
+                if (genus, total) == (0, 2) and not cylinder:
+                    continue            # zero energy: a cylinder
+                if leaf.kind == "flow1" and total == 3 \
+                        and not cfg.allow_flowline_pants:
+                    continue
+                cover_cap = (1 if cfg.left_covers_as_classes
+                             else cfg.cover_threshold)
+                for covers in itertools.product(
+                        range(1, cover_cap + 1), repeat=total):
+                    pos = tuple(sorted(OrbitType(up_type, cover=c)
+                                       for c in covers[:n_pos]))
+                    neg = tuple(sorted(OrbitType(down_type, cover=c)
+                                       for c in covers[n_pos:]))
+                    if cylinder and pos[0].cover != neg[0].cover:
                         continue
-                    if leaf.kind == "flow1" and total >= 3 \
-                            and not cfg.allow_flowline_pants:
-                        continue
-                    cover_cap = (1 if cfg.left_covers_as_classes
-                                 else cfg.cover_threshold)
-                    for covers in itertools.product(
-                            range(1, cover_cap + 1), repeat=total):
-                        pos = tuple(sorted(OrbitType(up_type, cover=c)
-                                           for c in covers[:n_pos]))
-                        neg = tuple(sorted(OrbitType(down_type, cover=c)
-                                           for c in covers[n_pos:]))
-                        if is_trivial_shape and pos[0].cover != neg[0].cover:
-                            continue
-                        if leaf.kind == "flow1" and (genus, n_pos, n_neg) \
-                                == (0, 1, 1) and pos[0].cover != neg[0].cover:
-                            continue
-                        out.append(Component(
-                            leaf=leaf, genus=genus, pos=pos, neg=neg,
-                            trivial=is_trivial_shape))
+                    out.append(Component(
+                        leaf=leaf, genus=genus, pos=pos, neg=neg,
+                        trivial=cylinder and leaf.kind == "cyl"))
     return out
 
 
@@ -257,8 +253,7 @@ def _right_symplectization(cfg: ModelConfig) -> List[Component]:
             for degree in range(1, cfg.cover_threshold + 1):
                 parts = _fiber_partitions(degree)
                 for up, down in itertools.product(parts, repeat=2):
-                    for genus in _realizable_cover(degree, up, down,
-                                                   cfg.max_genus_component):
+                    for genus in _realizable_cover(degree, up, down):
                         branched = (len(up) + len(down) != 2 * degree
                                     or genus > 0)
                         if base[0] == "orbit" and branched \
@@ -299,43 +294,37 @@ def _main_level(cfg: ModelConfig) -> List[Component]:
         left = endpoint in (SIGMA_MIN, SIGMA_HYP_LEFT)
         for page in pages:
             leaf = Leaf("page", page)
-            for genus in range(cfg.max_genus_component + 1):
-                for n in range(1, cfg.max_ends_per_component + 1):
-                    if genus == 0 and n == 1:
-                        continue        # plane at a loop orbit
-                    if left:
-                        base_choices = [(None,) * n]
-                    else:
-                        base_choices = itertools.combinations_with_replacement(
-                            (BASE_MIN, BASE_SADDLE, BASE_MAX), n)
-                    for bases in base_choices:
-                        for covers in itertools.product(
-                                range(1, cfg.cover_threshold + 1), repeat=n):
-                            pos = tuple(sorted(
-                                OrbitType(endpoint, bases[i], covers[i])
-                                for i in range(n)))
-                            comp = Component(leaf=leaf, genus=genus,
-                                             pos=pos, neg=())
-                            # index in the semi-filling must be non-negative
-                            leafish = 2 * genus + n - 2 + sum(
-                                o.cz_leaf for o in pos)
-                            if leafish < 0:
-                                continue
-                            out.append(comp)
+            for genus, n in SHAPES:
+                if left:
+                    base_choices = [(None,) * n]
+                else:
+                    base_choices = itertools.combinations_with_replacement(
+                        (BASE_MIN, BASE_SADDLE, BASE_MAX), n)
+                for bases in base_choices:
+                    for covers in itertools.product(
+                            range(1, cfg.cover_threshold + 1), repeat=n):
+                        pos = tuple(sorted(
+                            OrbitType(endpoint, bases[i], covers[i])
+                            for i in range(n)))
+                        comp = Component(leaf=leaf, genus=genus,
+                                         pos=pos, neg=())
+                        # index in the semi-filling must be non-negative
+                        leafish = 2 * genus + n - 2 + sum(
+                            o.cz_leaf for o in pos)
+                        if leafish < 0:
+                            continue
+                        out.append(comp)
     return out
 
 
 def component_menu(cfg: ModelConfig) -> List[Component]:
-    """Every admissible component type within the configured bounds."""
-    seen = {}
-    for comp in (_left_symplectization(cfg) + _right_symplectization(cfg)
-                 + _main_level(cfg)):
-        if sum((o.action(cfg) for o in comp.pos), Fraction(0)) \
-                > cfg.action_threshold:
-            continue
-        seen.setdefault((comp.leaf, comp.genus, comp.pos, comp.neg,
-                         comp.trivial, comp.cover_base, comp.degree), comp)
-    return sorted(seen.values())
+    """Every admissible component with a shape in ``SHAPES`` whose
+    positive action fits the threshold, each listed once."""
+    candidates = (_left_symplectization(cfg) + _right_symplectization(cfg)
+                  + _main_level(cfg))
+    return sorted({c for c in candidates
+                   if sum((o.action(cfg) for o in c.pos), Fraction(0))
+                   <= cfg.action_threshold})
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +426,6 @@ def _canonical(building: Building) -> Building:
     return Building(levels=best[0], edges=best[1])
 
 
-def _flow_attach_ok(cfg: ModelConfig, upper: Component) -> bool:
-    """Covers of nonconstant flow cylinders glue along even leaf index."""
-    if not cfg.flow_cover_attach_even_only:
-        return True
-    if upper.cover_base is None or upper.cover_base[0] != "flow":
-        return True
-    return all(o.cz_leaf % 2 == 0 for o in upper.neg)
-
-
 def enumerate_buildings(cfg: ModelConfig, genus: int, ends: int
                         ) -> List[Building]:
     """All index-one configurations with the given genus and end count.
@@ -469,6 +449,31 @@ def _search(cfg: ModelConfig) -> Dict[Tuple[int, int], Tuple[Building, ...]]:
     Components are handled by their position in the sorted menu, so
     sorting positions sorts components; their end counts, index and
     positive action are computed once here.
+
+    Euler characteristic bounds the search.  Take a configuration that
+    ``emit`` keeps: V components c with genus g_c and n_c ends, E matched
+    strands, r top ends and genus g = sum g_c + E - V + 1.  Every end is
+    matched except the top ones, so sum n_c = 2E + r, and with
+    chi_c = 2 - 2 g_c - n_c
+
+        sum (-chi_c) = 2g - 2 + r.
+
+    ``emit`` keeps g + r <= 2, and r >= 1 because every component has a
+    positive end, so sum (-chi_c) <= 1.  No component is a plane, so
+    every -chi_c >= 0.  Hence every component has chi_c in {0, -1} (the
+    menu builds only those, ``SHAPES``), at most one has -1, and the
+    plane case (g, r) = (0, 1), which needs sum (-chi_c) = -1, is empty.
+    Above the bottom every component has a negative end, so it is a
+    cylinder with one end of each sign or the one chi = -1 pair of
+    pants; the number of strands crossing between two levels changes
+    only at the pants.  With no chi = -1 component r = 2; with one,
+    r = 1 and the count changes by at most one.  Either way at most 2
+    strands cross any level, so no level above the bottom has more
+    than 2 components.  A bottom component has no negative end and at
+    least one positive end, and the only one-ended shape has chi = -1,
+    so 2 bottom components would need at least 3 strands: the bottom
+    is one component.  ``max_levels`` and ``max_components`` remain the
+    only bounds of the search.
     """
     menu = component_menu(cfg)
     pos_counts = [dict(_multiset(c.pos)) for c in menu]
@@ -480,7 +485,7 @@ def _search(cfg: ModelConfig) -> Dict[Tuple[int, int], Tuple[Building, ...]]:
     # end type -> upper components with a negative end of that type
     covering: Dict[OrbitType, List[int]] = {}
     for i, c in enumerate(menu):
-        if c.neg and c.leaf.kind != "page" and _flow_attach_ok(cfg, c):
+        if c.neg and c.leaf.kind != "page":
             for t in neg_counts[i]:
                 covering.setdefault(t, []).append(i)
     results: Dict[Tuple[int, int], Dict[Tuple, Building]] = {}
@@ -539,8 +544,7 @@ def _search(cfg: ModelConfig) -> Dict[Tuple[int, int], Tuple[Building, ...]]:
         emit(levels, edges, total_index)
         if len(levels) >= cfg.max_levels:
             return
-        used = sum(len(lv) for lv in levels)
-        room = min(cfg.max_components - used, cfg.max_components_per_level)
+        room = cfg.max_components - sum(len(lv) for lv in levels)
         if room <= 0:
             return
         lower = [pos_counts[i] for i in levels[-1]]
@@ -555,22 +559,8 @@ def _search(cfg: ModelConfig) -> Dict[Tuple[int, int], Tuple[Building, ...]]:
                 extend(levels + [level], edges + list(match),
                        total_index + sum(index[j] for j in level))
 
-    def bottom_levels(start: int, size: int, budget: Fraction):
-        """Multisets of ``size`` bottoms from ``start`` on whose positive
-        action fits ``budget``; actions are positive, so a partial
-        multiset over budget is dropped with all its extensions."""
-        if size == 0:
-            yield ()
-            return
-        for k in range(start, len(bottoms)):
-            i = bottoms[k]
-            if action[i] <= budget:
-                for tail in bottom_levels(k, size - 1, budget - action[i]):
-                    yield (i,) + tail
-
-    for size in range(1, cfg.max_components_per_level + 1):
-        for level in bottom_levels(0, size, cfg.action_threshold):
-            extend([level], [], sum(index[i] for i in level))
+    for i in bottoms:
+        extend([(i,)], [], index[i])
 
     return {case: tuple(sorted(found.values(), key=_sort_key))
             for case, found in results.items()}

@@ -90,12 +90,10 @@ class ModelConfig:
     right_action_unit: Fraction = Fraction(1)
     action_threshold: Fraction = Fraction(5, 2)
     cover_threshold: int = 2
-    # enumeration bounds
+    # conventions of the count, not silent prunes: the (1,1) case has 29
+    # configurations at 3 levels / 5 components, 33 at 4 / 6 and at 5 / 9
     max_levels: int = 3
-    max_components_per_level: int = 3
     max_components: int = 5
-    max_ends_per_component: int = 4
-    max_genus_component: int = 1
     # convention toggles, all recorded in the manifest
     allow_generic_crossing_pages: bool = True
     left_covers_as_classes: bool = False

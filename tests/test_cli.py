@@ -58,9 +58,11 @@ class TestEnumerateCommand:
         assert "invalid input: model field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["k_circles", "genus_sigma",
-                                     "genus_base"])
+                                     "genus_base", "max_ends_per_component",
+                                     "max_genus_component",
+                                     "max_components_per_level"])
     def test_removed_model_field_is_unknown_key(self, capsys, tmp_path, key):
-        # no computation read these fields, so they are no longer accepted
+        # these fields left the model, so a config that sets one is refused
         path = tmp_path / "model.json"
         path.write_text(json.dumps({key: 3}))
         code = main(["enumerate", "--config", str(path),

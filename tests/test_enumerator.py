@@ -47,6 +47,10 @@ class TestCounts:
             enumerate_buildings(CFG, 1, 2)
 
 
+def _euler(c) -> int:
+    return 2 - 2 * c.genus - len(c.pos) - len(c.neg)
+
+
 class TestAudits:
     def test_total_index_recomputed_is_one(self):
         for b in CASE2 + CASE3:
@@ -78,6 +82,18 @@ class TestAudits:
     def test_genus_audit(self):
         assert all(b.arithmetic_genus == 0 for b in CASE2)
         assert all(b.arithmetic_genus == 1 for b in CASE3)
+
+    def test_euler_characteristic_adds_up(self):
+        for b in CASE2 + CASE3:
+            assert sum(-_euler(c) for c in b.components) \
+                == 2 * b.arithmetic_genus - 2 + b.positive_end_count
+
+    def test_bottom_level_is_one_component(self):
+        assert all(len(b.levels[0]) == 1 for b in CASE2 + CASE3)
+
+    def test_levels_are_at_most_two_wide(self):
+        assert all(len(level) <= 2 for b in CASE2 + CASE3
+                   for level in b.levels)
 
 
 class TestTwin:
@@ -202,6 +218,13 @@ class TestDeterminism:
                 "d1bb639690107074dc56b65b36d351f3"),
             (24, "7beb197b3e303160475102f02fb5bf3b"
                  "0f25d55a38c894d7d63fcbff9c0e0458")]),
+        (dict(max_levels=4, max_components=6), [
+            (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5"
+                "ed12ab4d8e11ba873c2f11161202b945"),
+            (6, "4a45031436f56ea8a7c0fa403be1b36f"
+                "f887c16d6b56b3db74bb5301abf435d1"),
+            (33, "41309d5ffbd9c9b1ff2ebb79e4a519b8"
+                 "42cf04f1beb86c777f910efa0783ee4e")]),
     ])
     def test_other_configs_match_reference(self, overrides, expected):
         # counts and key digests of the per-case search, case by case
@@ -223,12 +246,15 @@ class TestMenuFacts:
         for comp in component_menu(CFG):
             assert comp.genus > 0 or len(comp.pos) + len(comp.neg) > 1
 
+    def test_euler_characteristic_is_zero_or_minus_one(self):
+        assert {_euler(c) for c in component_menu(CFG)} == {0, -1}
+
     def test_no_crossing_components(self):
         for comp in component_menu(CFG):
             assert len({o.side for o in comp.pos + comp.neg}) == 1
 
     def test_action_units_must_be_positive(self):
-        # bottom levels are pruned on partial action sums
+        # the action threshold cuts the menu only when every action is positive
         with pytest.raises(ConfigurationError):
             paper_model(right_action_unit=Fraction(0))
 
