@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -128,8 +128,9 @@ def cmd_enumerate(args) -> int:
     cfg = _load_model(args.config)
     doc = classification_document(cfg, args.genus, args.ends,
                                   convention=args.convention)
-    result = _manifest("enumerate", cfg.convention_fields(), {
-        "model_conventions": cfg.convention_fields(),
+    model = asdict(cfg)
+    result = _manifest("enumerate", model, {
+        "model_conventions": model,
         "classification": doc,
     })
     _emit(result, args.out)

@@ -16,8 +16,12 @@ Component menus implement the structural facts of the model:
   no planes anywhere;
 * components never cross the dividing set, and the ends of a component
   confined to one leaf sit over that leaf's critical points;
-* in a left symplectization leaf every zero-energy curve is a trivial
-  cylinder and every cylinder is trivial in the leaf identification;
+* in a left symplectization leaf every cylinder has zero energy and is
+  trivial in the leaf identification; energy is filtered on cylinders
+  only, so at the defaults, by ``OrbitType.action``, the ten pants in
+  cyl(min) and cyl(hyp-) with one positive end have energy
+  A(positive) - A(negative) from -1 to -3, though Stokes gives E >= 0
+  (4 of the 29 torus configurations hold one, all of them twistable);
 * every right-side symplectization component is a cover of a flow-line
   cylinder or of an orbit cylinder, with branching data realizable by
   an actual branched cover;
@@ -33,7 +37,8 @@ so the components of a configuration with genus + ends <= 2 have
 chi = 2 - 2g - #ends in {0, -1}, at most one of them -1, and the
 plane case (genus 0, one end) is empty.  The menu holds only such
 components, and a configuration has one bottom component and at most
-two per level (the proof is in ``_search``).
+two per level; its index bounds the number of levels (the proofs are
+in ``_search``).
 
 The total index of a configuration is one, recomputed through the
 index calculus from the orbit data, never trusted from construction.
@@ -472,14 +477,40 @@ def _search(cfg: ModelConfig) -> Dict[Tuple[int, int], Tuple[Building, ...]]:
     than 2 components.  A bottom component has no negative end and at
     least one positive end, and the only one-ended shape has chi = -1,
     so 2 bottom components would need at least 3 strands: the bottom
-    is one component.  ``max_levels`` and ``max_components`` remain the
-    only bounds of the search.
+    is one component.
+
+    The index bounds the levels.  A level of trivial cylinders only is
+    unstable, so ``extend`` never builds one, and as every later
+    component has chi <= 0 it cuts a partial configuration with
+    sum (-chi_c) >= 2.  Two menu facts are checked, raising
+    ``ConsistencyError``: an upper component with chi = 0 (a cylinder)
+    has index >= 0, and >= 1 unless it is trivial.  Let s be minus the
+    least index of a chi = -1 upper component, or 0 if that is larger.
+    Every later component has index >= 0 except the one chi = -1
+    component, whose index is >= -s, so a partial configuration of index
+    above 1 once it holds that component, or above 1 + s before, never
+    reaches index 1 and is cut.  Each upper level holds a non-trivial
+    component and adds at least 1, except the level of the chi = -1
+    component, which adds at least -s; so on a bottom of index b the
+    search stops after at most 2 + 2s - b upper levels, whatever
+    ``max_levels`` is.  At the defaults s = 2, and a bottom has index
+    >= 0 if chi = 0 (at most one pants level and three cylinder levels
+    above it) and >= -1 if chi = -1 (at most two levels above it): at
+    most 5 levels and 9 components.  ``max_levels`` is the depth of the
+    search, a convention of the count.
     """
     menu = component_menu(cfg)
     pos_counts = [dict(_multiset(c.pos)) for c in menu]
     neg_counts = [dict(_multiset(c.neg)) for c in menu]
     index = [c.index_ambient for c in menu]
+    chi = [2 - 2 * c.genus - len(c.pos) - len(c.neg) for c in menu]
     action = [sum((o.action(cfg) for o in c.pos), Fraction(0)) for c in menu]
+    for i, c in enumerate(menu):
+        if c.neg and chi[i] == 0 and index[i] < (0 if c.trivial else 1):
+            raise ConsistencyError("upper cylinder %s has index %d"
+                                   % (c.label(), index[i]))
+    slack = max([0] + [-index[i] for i, c in enumerate(menu)
+                       if c.neg and chi[i] == -1])
     # a trivial cylinder cannot sit at the bottom
     bottoms = [i for i, c in enumerate(menu) if not c.neg and not c.trivial]
     # end type -> upper components with a negative end of that type
@@ -505,9 +536,6 @@ def _search(cfg: ModelConfig) -> Dict[Tuple[int, int], Tuple[Building, ...]]:
             return
         if sum(action[i] for i in levels[-1]) > cfg.action_threshold:
             return
-        # stability: no level of trivial cylinders only
-        if any(all(menu[i].trivial for i in lv) for lv in levels):
-            return
         # shapes are primitive in the covering multiplicities
         if math.gcd(*(o.cover for lv in levels for i in lv
                       for o in menu[i].pos + menu[i].neg)) > 1:
@@ -517,7 +545,7 @@ def _search(cfg: ModelConfig) -> Dict[Tuple[int, int], Tuple[Building, ...]]:
         cb = _canonical(b)
         results.setdefault((genus, ends), {}).setdefault(cb.key(), cb)
 
-    def level_choices(need: Dict[OrbitType, int], room: int):
+    def level_choices(need: Dict[OrbitType, int]):
         """Multisets of upper components consuming exactly ``need``.
 
         Each step must cover the least open end type, which keeps the
@@ -527,8 +555,6 @@ def _search(cfg: ModelConfig) -> Dict[Tuple[int, int], Tuple[Building, ...]]:
         if not any(need.values()):
             yield ()
             return
-        if room == 0:
-            return
         target = min(t for t, v in need.items() if v > 0)
         for cand in covering.get(target, ()):
             counts = neg_counts[cand]
@@ -537,30 +563,34 @@ def _search(cfg: ModelConfig) -> Dict[Tuple[int, int], Tuple[Building, ...]]:
             rest = dict(need)
             for t, m in counts.items():
                 rest[t] -= m
-            for tail in level_choices(rest, room - 1):
+            for tail in level_choices(rest):
                 yield (cand,) + tail
 
-    def extend(levels, edges, total_index):
+    def extend(levels, edges, total_index, euler):
+        """Emit, then stack every level that can still reach index 1;
+        ``euler`` is sum (-chi_c) so far."""
         emit(levels, edges, total_index)
         if len(levels) >= cfg.max_levels:
-            return
-        room = cfg.max_components - sum(len(lv) for lv in levels)
-        if room <= 0:
             return
         lower = [pos_counts[i] for i in levels[-1]]
         need: Dict[OrbitType, int] = {}
         for counts in lower:
             for t, m in counts.items():
                 need[t] = need.get(t, 0) + m
-        for combo in level_choices(need, room):
+        for combo in level_choices(need):
             level = tuple(sorted(combo))
+            up_index = total_index + sum(index[j] for j in level)
+            up_euler = euler - sum(chi[j] for j in level)
+            if all(menu[j].trivial for j in level) or up_euler > 1 \
+                    or up_index > (1 if up_euler else 1 + slack):
+                continue
             upper = [neg_counts[j] for j in level]
             for match in _level_matchings(lower, upper, len(levels) - 1):
-                extend(levels + [level], edges + list(match),
-                       total_index + sum(index[j] for j in level))
+                extend(levels + [level], edges + list(match), up_index,
+                       up_euler)
 
     for i in bottoms:
-        extend([(i,)], [], index[i])
+        extend([(i,)], [], index[i], -chi[i])
 
     return {case: tuple(sorted(found.values(), key=_sort_key))
             for case, found in results.items()}

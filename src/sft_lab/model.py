@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict
 
 from .errors import ConfigurationError
 
@@ -84,17 +83,19 @@ class Leaf:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Fixture data and enumeration conventions for one model instance."""
+    """Fixture data and enumeration conventions for one model instance.
+
+    The ``enumerate`` manifest records and digests every field.
+    """
 
     left_action_unit: Fraction = Fraction(1)
     right_action_unit: Fraction = Fraction(1)
     action_threshold: Fraction = Fraction(5, 2)
     cover_threshold: int = 2
-    # conventions of the count, not silent prunes: the (1,1) case has 29
-    # configurations at 3 levels / 5 components, 33 at 4 / 6 and at 5 / 9
+    # the depth of the search, a convention of the count: the (1,1) case
+    # has 29 configurations at 3 levels, 33 from 4 levels up
     max_levels: int = 3
-    max_components: int = 5
-    # convention toggles, all recorded in the manifest
+    # convention toggles
     allow_generic_crossing_pages: bool = True
     left_covers_as_classes: bool = False
     allow_branched_trivial_covers: bool = True
@@ -106,18 +107,8 @@ class ModelConfig:
             raise ConfigurationError("thresholds must be positive")
         if self.left_action_unit <= 0 or self.right_action_unit <= 0:
             raise ConfigurationError("action units must be positive")
-
-    def convention_fields(self) -> Dict[str, object]:
-        return {
-            "allow_generic_crossing_pages": self.allow_generic_crossing_pages,
-            "left_covers_as_classes": self.left_covers_as_classes,
-            "allow_branched_trivial_covers":
-                self.allow_branched_trivial_covers,
-            "allow_flowline_pants": self.allow_flowline_pants,
-            "flow_cover_attach_even_only": self.flow_cover_attach_even_only,
-            "max_levels": self.max_levels,
-            "max_components": self.max_components,
-        }
+        if self.max_levels < 1:
+            raise ConfigurationError("a configuration has at least one level")
 
 
 def paper_model(**overrides) -> ModelConfig:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -57,10 +58,50 @@ class TestEnumerateCommand:
         assert code == 2
         assert "invalid input: model field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("levels", [0, -3])
+    def test_max_levels_below_one_is_validation_error(self, capsys, tmp_path,
+                                                      levels):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"max_levels": levels}))
+        code = main(["enumerate", "--config", str(path),
+                     "--genus", "0", "--ends", "1"])
+        assert code == 2
+        assert "at least one level" in capsys.readouterr().err
+
+    def test_manifest_records_every_model_field(self, capsys, tmp_path):
+        # the action threshold changes the (0,2) count from 6 to 0, so it
+        # must change the recorded model and the input digest
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"action_threshold": "3/2"}))
+        code, out = run(capsys, "enumerate", "--config", str(path),
+                        "--genus", "0", "--ends", "2")
+        _, default_out = run(capsys, "enumerate", "--genus", "0",
+                             "--ends", "2")
+        doc, default = json.loads(out), json.loads(default_out)
+        assert code == 0
+        assert doc["classification"]["summary"]["configurations"] == 0
+        assert default["classification"]["summary"]["configurations"] == 6
+        assert doc["model_conventions"]["action_threshold"] == "3/2"
+        assert doc["input_digest"] != default["input_digest"]
+        assert set(doc["model_conventions"]) == {
+            "left_action_unit", "right_action_unit", "action_threshold",
+            "cover_threshold", "max_levels", "allow_generic_crossing_pages",
+            "left_covers_as_classes", "allow_branched_trivial_covers",
+            "allow_flowline_pants", "flow_cover_attach_even_only"}
+
+    def test_cylinder_document_pinned(self, capsys):
+        # the whole stdout, manifest included, of the (0,2) case
+        code, out = run(capsys, "enumerate", "--genus", "0", "--ends", "2")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "122a43f54b2de0fdb4304983910114b4"
+            "fd40abc54efccf341084a8c1895d918d")
+
     @pytest.mark.parametrize("key", ["k_circles", "genus_sigma",
                                      "genus_base", "max_ends_per_component",
                                      "max_genus_component",
-                                     "max_components_per_level"])
+                                     "max_components_per_level",
+                                     "max_components"])
     def test_removed_model_field_is_unknown_key(self, capsys, tmp_path, key):
         # these fields left the model, so a config that sets one is refused
         path = tmp_path / "model.json"

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from sft_lab.enumerator import (Building, CASE_CYLINDER, CASE_TORUS,
                                 expand_flavors, is_sporadic,
                                 model_count_table_entries, obstruction_data,
                                 pair_cancellation, sporadic_signature, twin)
-from sft_lab.errors import ConfigurationError, NoTwinError
+from sft_lab.errors import ConfigurationError, ConsistencyError, NoTwinError
 from sft_lab.jsonio import canonical_dumps
 from sft_lab.model import paper_model
 
@@ -218,7 +219,7 @@ class TestDeterminism:
                 "d1bb639690107074dc56b65b36d351f3"),
             (24, "7beb197b3e303160475102f02fb5bf3b"
                  "0f25d55a38c894d7d63fcbff9c0e0458")]),
-        (dict(max_levels=4, max_components=6), [
+        (dict(max_levels=4), [
             (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5"
                 "ed12ab4d8e11ba873c2f11161202b945"),
             (6, "4a45031436f56ea8a7c0fa403be1b36f"
@@ -232,6 +233,49 @@ class TestDeterminism:
         got = [enumerate_buildings(cfg, g, r)
                for g, r in ((0, 1), (0, 2), (1, 1))]
         assert [(len(bs), _keys_digest(bs)) for bs in got] == expected
+
+    def test_search_stops_by_itself(self):
+        # the index bounds the levels: from 4 levels up the count is the
+        # same, 33 configurations of at most 4 levels
+        cfg = paper_model(max_levels=10)
+        torus = enumerate_buildings(cfg, 1, 1)
+        assert len(torus) == 33
+        assert _keys_digest(torus) == ("41309d5ffbd9c9b1ff2ebb79e4a519b8"
+                                       "42cf04f1beb86c777f910efa0783ee4e")
+        assert max(len(b.levels) for b in torus) == 4
+
+    def test_no_partial_configuration_exceeds_five_levels(self,
+                                                          monkeypatch):
+        # the level bound proved in _search; a depth of 6 leaves room to
+        # break it and keeps a broken search finite
+        depths = []
+        matchings = enumerator._level_matchings
+
+        def recording(lower_av, upper_need, level_idx):
+            depths.append(level_idx + 2)     # levels once this one is on
+            return matchings(lower_av, upper_need, level_idx)
+
+        monkeypatch.setattr(enumerator, "_level_matchings", recording)
+        enumerator._search.cache_clear()
+        try:
+            enumerator._search(paper_model(max_levels=6))
+        finally:
+            enumerator._search.cache_clear()
+        assert max(depths) <= 5
+
+    def test_broken_menu_fact_raises(self, monkeypatch):
+        # a non-trivial upper cylinder of index 0 breaks the index bound
+        menu = component_menu(CFG)
+        broken = [replace(c, trivial=False) if c.trivial else c
+                  for c in menu]
+        monkeypatch.setattr(enumerator, "component_menu",
+                            lambda cfg: broken)
+        enumerator._search.cache_clear()
+        try:
+            with pytest.raises(ConsistencyError, match="upper cylinder"):
+                enumerate_buildings(CFG, 0, 2)
+        finally:
+            enumerator._search.cache_clear()
 
     def test_document_stable(self):
         doc1 = classification_document(CFG, 0, 2)
@@ -257,6 +301,32 @@ class TestMenuFacts:
         # the action threshold cuts the menu only when every action is positive
         with pytest.raises(ConfigurationError):
             paper_model(right_action_unit=Fraction(0))
+
+    def test_negative_energy_components(self):
+        # Stokes gives E = A(positive) - A(negative) >= 0; the action
+        # model gives these ten left pants E < 0
+        def energy(c):
+            return (sum((o.action(CFG) for o in c.pos), Fraction(0))
+                    - sum((o.action(CFG) for o in c.neg), Fraction(0)))
+
+        negative = {c.label(): energy(c) for c in component_menu(CFG)
+                    if energy(c) < 0}
+        assert negative == {
+            "min / -min,-min [g0 cyl(min)]": -1,
+            "min / -min,-min^2 [g0 cyl(min)]": -2,
+            "min / -min^2,-min^2 [g0 cyl(min)]": -3,
+            "min^2 / -min,-min^2 [g0 cyl(min)]": -1,
+            "min^2 / -min^2,-min^2 [g0 cyl(min)]": -2,
+            "hyp- / -hyp-,-hyp- [g0 cyl(hyp-)]": -1,
+            "hyp- / -hyp-,-hyp-^2 [g0 cyl(hyp-)]": -2,
+            "hyp- / -hyp-^2,-hyp-^2 [g0 cyl(hyp-)]": -3,
+            "hyp-^2 / -hyp-,-hyp-^2 [g0 cyl(hyp-)]": -1,
+            "hyp-^2 / -hyp-^2,-hyp-^2 [g0 cyl(hyp-)]": -2,
+        }
+        holding = [b for b in CASE3
+                   if any(c.label() in negative for c in b.components)]
+        assert len(holding) == 4
+        assert all(b.twistable for b in holding)
 
     def test_right_symplectization_components_are_covers(self):
         for comp in component_menu(CFG):
