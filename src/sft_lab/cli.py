@@ -29,8 +29,7 @@ from .covers import (BranchProfile, double_point_budget,
                      enumerate_branch_profiles, super_rigidity_verdict,
                      total_branching)
 from .enumerator import classification_document
-from .errors import (ConsistencyError, InternalError, SquareZeroError,
-                     ValidationError)
+from .errors import ConsistencyError, InternalError, ValidationError
 from .indexcalc import (PunctureProfile, automatic_transversality,
                         gluing_base_dim, kernel_bound, normal_index,
                         obstruction_rank, regularity_transfer)
@@ -461,9 +460,6 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code = args.func(args)
-    except SquareZeroError as exc:
-        sys.stderr.write("consistency failure: %s\n" % exc)
-        return EXIT_CONSISTENCY
     except (ValidationError, OSError) as exc:
         sys.stderr.write("invalid input: %s\n" % exc)
         return EXIT_VALIDATION

@@ -45,10 +45,11 @@ joining two loops at a crossing concatenates their rotated spellings,
 which is the string bracket.
 
 Proper powers: a class v^m is resolved on its full length-m*|v|
-spelling; rotation pairs congruent modulo |v| describe the same lift
-line and never cross, and indices mod m*|v| keep the m^2 phases of each
-crossing of v apart, so the power has m^2 times the crossings of its
-root, each resolution read off the power spelling.
+spelling; rotation pairs congruent modulo |v| are the same word, so
+their rays have equal primitive blocks and they describe the same lift
+line, which never crosses itself; indices mod m*|v| keep the m^2 phases
+of each crossing of v apart, so the power has m^2 times the crossings
+of its root, each resolution read off the power spelling.
 """
 
 from __future__ import annotations
@@ -121,19 +122,13 @@ class StringTopology:
     def __init__(self, group: SurfaceGroup):
         self.group = group
         self.order = BoundaryOrder(group)
-        self._ray_cache: Dict[Word, Tuple[Ray, Ray]] = {}
 
     # -- lifts ------------------------------------------------------------
 
-    def _axis_rays(self, spelling: Word) -> Tuple[Ray, Ray]:
-        """(repelling, attracting) boundary rays of the spelling's lift."""
-        cached = self._ray_cache.get(spelling)
-        if cached is None:
-            xi = self.order.ray(spelling)
-            eta = self.order.ray(inverse(spelling))
-            cached = (eta, xi)
-            self._ray_cache[spelling] = cached
-        return cached
+    def _lifts(self, w: Word) -> List[Tuple[Ray, Ray]]:
+        """(repelling, attracting) rays of the lift read at each rotation."""
+        ray = self.order.ray
+        return [(ray(inverse(r)), ray(r)) for r in rotations(w)]
 
     def _pair_orbit_key(self, w1: Word, w2: Word, unordered: bool
                         ) -> List[Tuple[int, int]]:
@@ -176,22 +171,18 @@ class StringTopology:
                 for j in range(i + 1 if unordered else 0, n2)
                 if find(i * n2 + j) == i * n2 + j]
 
-    def _crossing_sign(self, a: Word, b: Word, one_root: bool) -> int:
-        """Sign of the crossing of the lifts of a and b through the base.
+    def _crossing_sign(self, lift1: Tuple[Ray, Ray],
+                       lift2: Tuple[Ray, Ray]) -> int:
+        """Sign of the crossing of two (repelling, attracting) lifts.
 
-        0 when they do not cross: their ends do not interleave, or the
-        lines share their ends (a common axis), which is settled before
-        ``orient``, since that needs distinct ends.  A common axis means
-        that a and b commute, so both are powers of one primitive
-        element; callers pass ``one_root`` False when the classes rule
-        that out, and the commutator is then not reduced.
+        0 when they do not cross: their attracting blocks are equal,
+        so the lines share an end, or their ends do not interleave.
+        The first is settled before ``linked``, since ``orient`` needs
+        distinct ends; callers rule out every other shared end.
         """
-        if one_root and self.group.is_trivial(a + b + inverse(a)
-                                              + inverse(b)):
-            return 0
-        eta1, xi1 = self._axis_rays(a)
-        eta2, xi2 = self._axis_rays(b)
-        if not self.order.linked((eta1, xi1), (eta2, xi2)):
+        eta1, xi1 = lift1
+        eta2, xi2 = lift2
+        if xi1.same_stream(xi2) or not self.order.linked(lift1, lift2):
             return 0
         return self.order.orient(eta1, eta2, xi1)
 
@@ -209,15 +200,23 @@ class StringTopology:
         (i, j) with (i-1, j+1) when w[j] == -w[i-1]), and each class is
         one double point if crossing lines meet in a connected set, the
         module's open assumption.
+
+        Two lifts share an end only when their attracting blocks are
+        equal.  Write w = v^m with v primitive.  Rotations i and j of w
+        are powers of rotations i and j mod |v| of v, and rotations of v
+        at distinct positions never commute: a common root would make
+        the subword between them, nonempty and shorter than v, a power
+        of rotation i of v.  So rotations i and j of w commute iff
+        i = j mod |v|, and then they are the same word, with equal
+        blocks; conversely, equal primitive blocks of words of one
+        length make the words equal.  A class is never conjugate to its
+        inverse in a closed orientable surface group, so an attracting
+        end never equals a repelling one.
         """
-        rots = rotations(w)
-        # rotations i != j of a primitive word never commute: a common
-        # root would make the subword between them, nonempty and shorter
-        # than w, a power of rotation i
-        power = self.group.primitive_root(w)[1] > 1
+        lifts = self._lifts(w)
         out: List[Crossing] = []
         for i, j in self._pair_orbit_key(w, w, True):
-            sign = self._crossing_sign(rots[i], rots[j], power)
+            sign = self._crossing_sign(lifts[i], lifts[j])
             if not sign:
                 continue
             first = self.group.canonical_class(w[i:j])
@@ -269,17 +268,27 @@ class StringTopology:
         crossing if crossing lines meet in a connected set, the
         module's open assumption.  The joined loop w1 g w2 g^-1 is
         conjugate to rotation i of w1 followed by rotation j of w2.
+
+        Two lifts share their ends exactly when their rotations commute,
+        which needs w1 and w2 to be powers of one root or of it and its
+        inverse.  Only then is the commutator reduced: the canonical
+        spelling of an inverse or a power need not be a rotation of the
+        other word, so one axis can carry two different blocks.
         """
         root1 = self.group.primitive_root(w1)[0]
         root2 = self.group.primitive_root(w2)[0]
         one_root = root1 in (root2, self.group.inverse_class(root2))
         rots1, rots2 = rotations(w1), rotations(w2)
+        lifts1, lifts2 = self._lifts(w1), self._lifts(w2)
         out = TensorSum()
         for i, j in self._pair_orbit_key(w1, w2, False):
-            sign = self._crossing_sign(rots1[i], rots2[j], one_root)
+            a, b = rots1[i], rots2[j]
+            if one_root and self.group.is_trivial(a + b + inverse(a)
+                                                  + inverse(b)):
+                continue
+            sign = self._crossing_sign(lifts1[i], lifts2[j])
             if sign:
-                out.add(self.group.canonical_class(rots1[i] + rots2[j]),
-                        sign)
+                out.add(self.group.canonical_class(a + b), sign)
         return out
 
     # -- labels and sporadic counts -------------------------------------------

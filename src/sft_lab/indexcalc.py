@@ -223,19 +223,17 @@ def regularity_transfer(p: PunctureProfile, regular_in_leaf: bool) -> bool:
 
 
 def kernel_bound(c1N: int, gamma_even: int) -> int:
-    """min{k+l : 0 <= k <= G, l >= 0 even, 2k+l > 2c} for c = c1N, G = gamma_even."""
+    """min{k+l : 0 <= k <= G, l >= 0 even, 2k+l > 2c} for c = c1N, G = gamma_even.
+
+    k = l = 0 serves when c < 0.  Otherwise 2k + l is even, so it is at
+    least 2c + 2, and k + l = (2k + l) - k is least at 2k + l = 2c + 2
+    with k = min(G, c + 1).
+    """
     if gamma_even < 0:
         raise ConfigurationError("gamma_even must be non-negative")
-    best = None
-    for k in range(gamma_even + 1):
-        need = 2 * c1N - 2 * k   # want l > need, l even >= 0
-        if need < 0:
-            l = 0
-        else:
-            l = need + 2 if need % 2 == 0 else need + 1
-        if best is None or k + l < best:
-            best = k + l
-    return best
+    if c1N < 0:
+        return 0
+    return 2 * c1N + 2 - min(gamma_even, c1N + 1)
 
 
 def obstruction_rank(rank_in_leaf: int, indN: int, dim_ker_N: int) -> int:

@@ -25,23 +25,26 @@ germs, and the cyclic order of sectors is the cyclic order of germs.
 That yields an exact three-point orientation test for ends, with no
 floating point anywhere.  A ray is the periodic stream of one
 cyclically Dehn-reduced block read from the base vertex, so it is
-geodesic and needs no normal form beyond its block.  Two periodic
-streams are equal when they agree over the lcm of their periods, which
-bounds every comparison of the orientation test.
+geodesic and needs no normal form beyond its block.  It keeps the
+primitive root of that block: u^oo = v^oo exactly when u and v are
+powers of one word (Lyndon-Schuetzenberger), so two rays spell the same
+stream exactly when their roots are equal.  Two distinct streams part
+within the lcm of their root lengths, which bounds every scan of the
+orientation test.
 
 Each ``SurfaceGroup`` owns the data derived from it.  The relator
 segment table (``segments``), the germ cycle (``rotation_cycle``) and
 the germ positions in it are built on first use, once per group.  The
 memo dicts of ``reduce_word``, ``canonical_element`` and
 ``canonical_class`` are created empty with the group and fill as it
-works, each up to ``MEMO_CAP`` entries.  The check of a ray block is
-memoised module-wide by ``_normalize_ray_cached``, keyed by the group's
-value (its genus), and computed on the group that asked first.
+works, each up to ``MEMO_CAP`` entries.  The check of a ray block and
+its root are memoised module-wide by ``_normalize_ray_cached``, keyed
+by the group's value (its genus), and computed on the group that asked
+first.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -76,6 +79,15 @@ def cyclic_reduce(word: Sequence[int]) -> Word:
     while len(w) > 1 and w[0] == -w[-1]:
         w = w[1:-1]
     return tuple(w)
+
+
+def _root(word: Word) -> Tuple[Word, int]:
+    """(u, m) with word == u * m and m largest, by least period."""
+    n = len(word)
+    for period in range(1, n):
+        if n % period == 0 and word[:period] * (n // period) == word:
+            return word[:period], n // period
+    return word, 1
 
 
 def rotations(word: Sequence[int]) -> List[Word]:
@@ -339,17 +351,13 @@ class SurfaceGroup:
         spelling in its closure is therefore primitive.
         """
         w = self.canonical_class(word)
-        n = len(w)
         kind, closure = self._closure(w, True)
         if kind != "closure":
             raise InternalError("canonical class was not minimal")
         for spelling in sorted(closure, key=word_key):
-            for period in range(1, n):
-                if n % period:
-                    continue
-                if spelling == spelling[period:] + spelling[:period]:
-                    return (self.canonical_class(spelling[:period]),
-                            n // period)
+            root, mult = _root(spelling)
+            if mult > 1:
+                return self.canonical_class(root), mult
         return w, 1
 
     # -- Boundary circle -------------------------------------------------
@@ -398,8 +406,10 @@ class SurfaceGroup:
 class Ray:
     """Periodic geodesic edge ray from the basepoint.
 
-    The ray spells tail + tail + ...; the tail must be a nonempty,
-    cyclically Dehn-reduced block, or ``ConfigurationError`` is raised.
+    The ray spells block + block + ...; the block must be nonempty and
+    cyclically Dehn-reduced, or ``ConfigurationError`` is raised.
+    ``tail`` is the primitive root of the block, so rays of u and u^k
+    are equal.
     """
 
     __slots__ = ("tail",)
@@ -413,12 +423,10 @@ class Ray:
     def same_stream(self, other: "Ray") -> bool:
         """Do the two rays spell the same letter stream?
 
-        Both streams repeat after L = lcm of the periods, so they are
-        equal exactly when they agree on their first L letters.
+        Streams of primitive roots u and v are equal exactly when u and
+        v are powers of one word, that is, when u == v.
         """
-        t1, t2 = self.tail, other.tail
-        n = math.lcm(len(t1), len(t2))
-        return t1 * (n // len(t1)) == t2 * (n // len(t2))
+        return self.tail == other.tail
 
 
 # a pure memo of a deterministic function: once full it evicts the
@@ -430,11 +438,11 @@ def _normalize_ray_cached(group: SurfaceGroup, tail: Word) -> Word:
     # Dehn-reduced: a relator segment has distinct letters, so one in
     # the stream is no longer than the block and is a cyclic window of it;
     # any other block shortens with every copy, so its stream is not
-    # geodesic
+    # geodesic; the primitive root of the block spells the same stream
     if not tail or group._shorten(tail, True) != tail:
         raise ConfigurationError("ray block %r is empty or not cyclically "
                                  "Dehn-reduced" % (tail,))
-    return tail
+    return _root(tail)[0]
 
 
 class BoundaryOrder:
@@ -453,11 +461,11 @@ class BoundaryOrder:
     def orient(self, r1: Ray, r2: Ray, r3: Ray) -> int:
         """Cyclic orientation (+1/-1) of three distinct endpoints.
 
-        Both scans end by proof.  Two distinct periodic streams differ
-        within the lcm of their periods (``same_stream``), and the rays
-        are checked pairwise distinct first.  So the scan of all three
-        stops, at the latest, where r1 and r2 first differ, and the scan
-        of r1 and r2 alone stops there too.
+        Both scans end by proof.  Distinct primitive blocks spell
+        streams that part within the lcm of their periods, and the rays
+        are checked pairwise distinct first (``same_stream``).  So the
+        scan of all three stops, at the latest, where r1 and r2 first
+        differ, and the scan of r1 and r2 alone stops there too.
         """
         rays = (r1, r2, r3)
         for a, b in ((0, 1), (0, 2), (1, 2)):

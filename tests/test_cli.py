@@ -256,6 +256,19 @@ class TestTorsionCommand:
             main(["torsion", "--counts", counts])
         assert "invalid input" not in capsys.readouterr().err
 
+    def test_square_zero_error_is_consistency_failure(self, capsys, tmp_path,
+                                                      monkeypatch):
+        from sft_lab import cli
+        from sft_lab.errors import SquareZeroError
+
+        def broken(*args, **kwargs):
+            raise SquareZeroError("D^2 != 0")
+
+        monkeypatch.setattr(cli, "torsion_order", broken)
+        counts = write_counts(tmp_path / "c.json", [])
+        assert main(["torsion", "--counts", counts]) == 3
+        assert "consistency failure" in capsys.readouterr().err
+
 
 class TestCobracketCommand:
     def test_simple_class(self, capsys):

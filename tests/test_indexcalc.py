@@ -222,6 +222,10 @@ class TestKernelBound:
         assert kernel_bound(-1, 0) == 0
         assert kernel_bound(0, 2) == 1
 
+    def test_closed_form_at_large_arguments(self):
+        assert kernel_bound(3, 10**9) == 4
+        assert kernel_bound(10**9, 3) == 2 * 10**9 - 1
+
     def test_matches_brute_force_grid(self):
         for c in range(-3, 4):
             for G in range(0, 5):

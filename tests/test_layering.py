@@ -119,9 +119,19 @@ def test_cobracket_identifies_crossings_by_one_union_find():
     assert not names & {"CONNECTOR_RADIUS", "_reduced_words", "_power"}
 
 
+def test_self_intersections_compare_ray_blocks():
+    # lifts of one class share an end exactly when their primitive
+    # blocks are equal: only bracket searches roots and reduces a
+    # commutator, and the rays keep the one capped memo of words
+    assert callers("cobracket", "primitive_root") == {"bracket"}
+    assert callers("cobracket", "is_trivial") == {"bracket"}
+    source = (PACKAGE / "cobracket.py").read_text()
+    assert "_ray_cache" not in source and "_axis_rays" not in source
+
+
 def test_ray_is_one_periodic_block():
-    # a ray is the stream of its block: no prefix, and the block is only
-    # checked, never reduced into a normal form
+    # a ray is the stream of its block: no prefix, and the block is cut
+    # to its primitive root but never Dehn-reduced into a normal form
     assert Ray.__slots__ == ("tail",)
     assert list(inspect.signature(BoundaryOrder.ray).parameters) == [
         "self", "tail"]
