@@ -45,11 +45,11 @@ joining two loops at a crossing concatenates their rotated spellings,
 which is the string bracket.
 
 Proper powers: a class v^m is resolved on its full length-m*|v|
-spelling; rotation pairs congruent modulo |v| are the same word, so
-their rays have equal primitive blocks and they describe the same lift
-line, which never crosses itself; indices mod m*|v| keep the m^2 phases
-of each crossing of v apart, so the power has m^2 times the crossings
-of its root, each resolution read off the power spelling.
+spelling, which need not be v's spelling repeated; rotation pairs whose
+rotations commute describe the same lift line and never cross, and
+indices mod the power's length keep the m^2 phases of each crossing of
+v apart, so the power has m^2 times the crossings of its root, each
+resolution read off the power spelling.
 """
 
 from __future__ import annotations
@@ -59,6 +59,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError
 from .words import BoundaryOrder, Ray, SurfaceGroup, Word, inverse, rotations
+
+# a rotation of a class with the (repelling, attracting) rays of its lift
+Lift = Tuple[Word, Ray, Ray]
 
 
 class TensorSum:
@@ -125,10 +128,11 @@ class StringTopology:
 
     # -- lifts ------------------------------------------------------------
 
-    def _lifts(self, w: Word) -> List[Tuple[Ray, Ray]]:
-        """(repelling, attracting) rays of the lift read at each rotation."""
+    def _lifts(self, w: Word) -> List[Lift]:
+        """(rotation, repelling ray, attracting ray) of the lift read at
+        each rotation of w."""
         ray = self.order.ray
-        return [(ray(inverse(r)), ray(r)) for r in rotations(w)]
+        return [(r, ray(inverse(r)), ray(r)) for r in rotations(w)]
 
     def _pair_orbit_key(self, w1: Word, w2: Word, unordered: bool
                         ) -> List[Tuple[int, int]]:
@@ -171,18 +175,25 @@ class StringTopology:
                 for j in range(i + 1 if unordered else 0, n2)
                 if find(i * n2 + j) == i * n2 + j]
 
-    def _crossing_sign(self, lift1: Tuple[Ray, Ray],
-                       lift2: Tuple[Ray, Ray]) -> int:
-        """Sign of the crossing of two (repelling, attracting) lifts.
+    def _crossing_sign(self, lift1: Lift, lift2: Lift,
+                       may_share: bool) -> int:
+        """Sign of the crossing of two lifts through the base.
 
-        0 when they do not cross: their attracting blocks are equal,
-        so the lines share an end, or their ends do not interleave.
-        The first is settled before ``linked``, since ``orient`` needs
-        distinct ends; callers rule out every other shared end.
+        0 when they do not cross: their ends do not interleave, or the
+        lines share their ends (a common axis), which is settled before
+        ``linked``, since ``orient`` needs distinct ends.  A common axis
+        means that the rotations commute, so both are powers of one
+        primitive element; it can carry two different ray blocks, so
+        ray equality does not see it.  Callers pass ``may_share`` False
+        when the classes rule it out, and the commutator is then not
+        reduced.
         """
-        eta1, xi1 = lift1
-        eta2, xi2 = lift2
-        if xi1.same_stream(xi2) or not self.order.linked(lift1, lift2):
+        a, eta1, xi1 = lift1
+        b, eta2, xi2 = lift2
+        if may_share and self.group.is_trivial(a + b + inverse(a)
+                                               + inverse(b)):
+            return 0
+        if not self.order.linked((eta1, xi1), (eta2, xi2)):
             return 0
         return self.order.orient(eta1, eta2, xi1)
 
@@ -201,22 +212,20 @@ class StringTopology:
         one double point if crossing lines meet in a connected set, the
         module's open assumption.
 
-        Two lifts share an end only when their attracting blocks are
-        equal.  Write w = v^m with v primitive.  Rotations i and j of w
-        are powers of rotations i and j mod |v| of v, and rotations of v
-        at distinct positions never commute: a common root would make
-        the subword between them, nonempty and shorter than v, a power
-        of rotation i of v.  So rotations i and j of w commute iff
-        i = j mod |v|, and then they are the same word, with equal
-        blocks; conversely, equal primitive blocks of words of one
-        length make the words equal.  A class is never conjugate to its
-        inverse in a closed orientable surface group, so an attracting
-        end never equals a repelling one.
+        Lifts of a primitive class never share an end: rotations of
+        a primitive word at distinct positions never commute, since a
+        common root would make the subword between them, nonempty and
+        shorter than w, a power of rotation i.  For a proper power the
+        commutator of each rotation pair is reduced.  Its canonical
+        spelling need not be periodic (a half-relator can be swapped in
+        one copy only), so two rotations can be one element spelled two
+        ways, with different ray blocks.
         """
+        power = self.group.primitive_root(w)[1] > 1
         lifts = self._lifts(w)
         out: List[Crossing] = []
         for i, j in self._pair_orbit_key(w, w, True):
-            sign = self._crossing_sign(lifts[i], lifts[j])
+            sign = self._crossing_sign(lifts[i], lifts[j], power)
             if not sign:
                 continue
             first = self.group.canonical_class(w[i:j])
@@ -271,24 +280,18 @@ class StringTopology:
 
         Two lifts share their ends exactly when their rotations commute,
         which needs w1 and w2 to be powers of one root or of it and its
-        inverse.  Only then is the commutator reduced: the canonical
-        spelling of an inverse or a power need not be a rotation of the
-        other word, so one axis can carry two different blocks.
+        inverse; only then is the commutator reduced.
         """
         root1 = self.group.primitive_root(w1)[0]
         root2 = self.group.primitive_root(w2)[0]
         one_root = root1 in (root2, self.group.inverse_class(root2))
-        rots1, rots2 = rotations(w1), rotations(w2)
         lifts1, lifts2 = self._lifts(w1), self._lifts(w2)
         out = TensorSum()
         for i, j in self._pair_orbit_key(w1, w2, False):
-            a, b = rots1[i], rots2[j]
-            if one_root and self.group.is_trivial(a + b + inverse(a)
-                                                  + inverse(b)):
-                continue
-            sign = self._crossing_sign(lifts1[i], lifts2[j])
+            sign = self._crossing_sign(lifts1[i], lifts2[j], one_root)
             if sign:
-                out.add(self.group.canonical_class(a + b), sign)
+                out.add(self.group.canonical_class(lifts1[i][0]
+                                                   + lifts2[j][0]), sign)
         return out
 
     # -- labels and sporadic counts -------------------------------------------

@@ -30,7 +30,10 @@ primitive root of that block: u^oo = v^oo exactly when u and v are
 powers of one word (Lyndon-Schuetzenberger), so two rays spell the same
 stream exactly when their roots are equal.  Two distinct streams part
 within the lcm of their root lengths, which bounds every scan of the
-orientation test.
+orientation test.  That decides streams, not boundary points: two
+spellings of one element, or of commuting elements, can be different
+blocks whose streams end at one point, so callers rule out commuting
+lifts before they compare ends.
 
 Each ``SurfaceGroup`` owns the data derived from it.  The relator
 segment table (``segments``), the germ cycle (``rotation_cycle``) and
@@ -409,7 +412,8 @@ class Ray:
     The ray spells block + block + ...; the block must be nonempty and
     cyclically Dehn-reduced, or ``ConfigurationError`` is raised.
     ``tail`` is the primitive root of the block, so rays of u and u^k
-    are equal.
+    are equal.  Rays with different tails are different streams, which
+    may still end at one boundary point (see ``same_stream``).
     """
 
     __slots__ = ("tail",)
@@ -424,7 +428,10 @@ class Ray:
         """Do the two rays spell the same letter stream?
 
         Streams of primitive roots u and v are equal exactly when u and
-        v are powers of one word, that is, when u == v.
+        v are powers of one word, that is, when u == v.  This is the
+        identity of streams, not of ends: two different blocks can spell
+        one element, or commuting ones, and their streams then differ
+        but may end at one point.
         """
         return self.tail == other.tail
 
@@ -461,7 +468,10 @@ class BoundaryOrder:
     def orient(self, r1: Ray, r2: Ray, r3: Ray) -> int:
         """Cyclic orientation (+1/-1) of three distinct endpoints.
 
-        Both scans end by proof.  Distinct primitive blocks spell
+        The guard below rejects equal streams only; callers must rule
+        out distinct streams with one endpoint (commuting lifts spelled
+        by different blocks), on which the result means nothing.  Both
+        scans end by proof.  Distinct primitive blocks spell
         streams that part within the lcm of their periods, and the rays
         are checked pairwise distinct first (``same_stream``).  So the
         scan of all three stops, at the latest, where r1 and r2 first

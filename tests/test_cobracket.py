@@ -80,21 +80,32 @@ class TestSelfIntersections:
         assert matched >= 20
 
     def test_power_convention_squares_the_root(self):
-        root = G2.canonical_class((1, 2, -1, 2))
-        base = ST.self_intersection_number(root)
-        doubled = G2.canonical_class((1, 2, -1, 2) * 2)
-        assert ST.self_intersection_number(doubled) == 4 * base
+        # the canonical spelling of (bABcc)^2 swaps the half-relator
+        # bABc for AdcD in one copy only, so it is not periodic, and its
+        # rotations 3 and 8 are one element spelled two ways
+        oracle = DoubleCosetOracle(SurfaceGroup(2))
+        for w in ((1, 2, -1, 2), (2, -1, -2, 3, 3)):
+            root = G2.canonical_class(w)
+            doubled = G2.canonical_class(w * 2)
+            assert G2.primitive_root(doubled) == (root, 2)
+            got = ST.self_intersection_pairs(doubled)
+            assert len(got) == 4 * ST.self_intersection_number(root) == 4
+            assert triples(got) == triples(oracle.crossings(doubled))
+        assert doubled == (-1, -2, 3, 3, -1, 4, 3, -4, 3, 2)
 
     def test_double_coset_oracle_agrees(self):
-        # about 2,000 seeded classes of length <= 7, plus the squares and
-        # cubes of the short ones, so the m^2 rule for powers is covered
+        # about 2,000 seeded classes of length <= 7, plus the squares of
+        # those of length <= 5 and the cubes of those of length <= 3, so
+        # the m^2 rule for powers is covered, also where a half-relator
+        # makes the canonical spelling of the power not periodic
         oracle = DoubleCosetOracle(SurfaceGroup(2))
         classes = rand_classes(random.Random(1986), 2000, max_len=7)
-        powers = [G2.canonical_class(c * m)
-                  for c in classes if len(c) <= 3 for m in (2, 3)]
-        assert len(powers) >= 200
+        squares = [G2.canonical_class(c * 2) for c in classes if len(c) <= 5]
+        cubes = [G2.canonical_class(c * 3) for c in classes if len(c) <= 3]
+        assert len(squares) + len(cubes) >= 1200
+        assert sum(s[:len(s) // 2] * 2 != s for s in squares) >= 5
         crossings = 0
-        for cls in classes + powers:
+        for cls in classes + squares + cubes:
             got = ST.self_intersection_pairs(cls)
             want = oracle.crossings(cls)
             assert len(got) == len(want), cls

@@ -119,12 +119,14 @@ def test_cobracket_identifies_crossings_by_one_union_find():
     assert not names & {"CONNECTOR_RADIUS", "_reduced_words", "_power"}
 
 
-def test_self_intersections_compare_ray_blocks():
-    # lifts of one class share an end exactly when their primitive
-    # blocks are equal: only bracket searches roots and reduces a
-    # commutator, and the rays keep the one capped memo of words
-    assert callers("cobracket", "primitive_root") == {"bracket"}
-    assert callers("cobracket", "is_trivial") == {"bracket"}
+def test_lifts_share_an_axis_by_one_commutator_test():
+    # one axis can carry two different ray blocks, so both callers
+    # decide a shared axis by one commutator test, reduced only for
+    # classes that may share a root; the rays keep the one capped memo
+    assert callers("cobracket", "primitive_root") == {
+        "self_intersection_pairs", "bracket"}
+    assert callers("cobracket", "is_trivial") == {"_crossing_sign"}
+    assert callers("cobracket", "same_stream") == set()
     source = (PACKAGE / "cobracket.py").read_text()
     assert "_ray_cache" not in source and "_axis_rays" not in source
 
