@@ -14,10 +14,14 @@ is even and central, D commutes with it: D(h^j m) = h^j D(m).
 Coefficients are exact ``fractions.Fraction`` values throughout, and
 the linear solver used for torsion certificates is sparse elimination
 over them.  Cancellations of opposite counts are therefore exact.
+Koszul signs and exponents are plain integers: ``_slot`` is the one
+rule that places a generator among a monomial's sorted factors and
+signs the move, and products and derivatives both go through it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
@@ -179,56 +183,51 @@ class AlgebraElement:
         return AlgebraElement({m: v * c for m, v in self.terms.items()})
 
 
+def _slot(gens: GeneratorSet, gen_id: str,
+          factors: Tuple[Tuple[str, int], ...]) -> Tuple[int, int]:
+    """Where ``gen_id`` belongs in the sorted ``factors``, and the Koszul
+    sign of moving it past the factors before that index."""
+    i = bisect_left(factors, (gen_id,))
+    if gens.parity(gen_id) == EVEN:
+        return i, 1
+    crossed = sum(gens.parity(g) * e for g, e in factors[:i])
+    return i, -1 if crossed % 2 else 1
+
+
 def multiply_generator(gens: GeneratorSet, gen_id: str,
-                       m: Monomial) -> Tuple[Fraction, Optional[Monomial]]:
+                       m: Monomial) -> Tuple[int, Optional[Monomial]]:
     """Left-multiply a monomial by a generator, with the Koszul sign.
 
     Returns (sign, monomial) or (0, None) when an odd generator squares
     to zero.
     """
-    parity = gens.parity(gen_id)
     hbar, factors = m
-    crossed = 0
-    out: List[Tuple[str, int]] = []
-    placed = False
-    for g, e in factors:
-        if not placed and g >= gen_id:
-            if g == gen_id:
-                if parity == ODD:
-                    return Fraction(0), None
-                out.append((g, e + 1))
-            else:
-                out.append((gen_id, 1))
-                out.append((g, e))
-            placed = True
-            continue
-        if not placed:
-            crossed += gens.parity(g) * e
-        out.append((g, e))
-    if not placed:
-        out.append((gen_id, 1))
-    sign = Fraction(-1 if (parity * crossed) % 2 else 1)
-    return sign, (hbar, tuple(out))
+    i, sign = _slot(gens, gen_id, factors)
+    if i < len(factors) and factors[i][0] == gen_id:
+        if gens.parity(gen_id) == ODD:
+            return 0, None
+        e, rest = factors[i][1], factors[i + 1:]
+    else:
+        e, rest = 0, factors[i:]
+    return sign, (hbar, factors[:i] + ((gen_id, e + 1),) + rest)
 
 
 def multiply_monomials(gens: GeneratorSet, a: Monomial,
-                       b: Monomial) -> Tuple[Fraction, Optional[Monomial]]:
+                       b: Monomial) -> Tuple[int, Optional[Monomial]]:
     """Graded-commutative product of two monomials.
 
     Returns (sign, monomial), or (0, None) when an odd generator would
     appear twice.
     """
-    sign = Fraction(1)
+    sign = 1
     out = b
-    hbar = a[0] + b[0]
     for gid, e in reversed(a[1]):
         for _ in range(e):
-            s, grown = multiply_generator(gens, gid, out)
-            if grown is None:
-                return Fraction(0), None
+            s, out = multiply_generator(gens, gid, out)
+            if out is None:
+                return 0, None
             sign *= s
-            out = grown
-    return sign, (hbar, out[1])
+    return sign, (a[0] + b[0], out[1])
 
 
 def multiply_elements(gens: GeneratorSet, x: AlgebraElement,
@@ -237,32 +236,27 @@ def multiply_elements(gens: GeneratorSet, x: AlgebraElement,
     for ma, ca in x.terms.items():
         for mb, cb in y.terms.items():
             s, m = multiply_monomials(gens, ma, mb)
-            if m is not None and s:
+            if m is not None:
                 out.add_term(m, ca * cb * s)
     return out
 
 
 def derive_generator(gens: GeneratorSet, gen_id: str,
-                     m: Monomial) -> Tuple[Fraction, Optional[Monomial]]:
+                     m: Monomial) -> Tuple[int, Optional[Monomial]]:
     """Left partial derivative by a generator, with the Koszul sign.
 
-    Repeated derivatives of a power pick up falling-factorial
-    multiplicities through the exponent factor here.
+    Returns (sign times the generator's exponent, the monomial with that
+    exponent lowered by one), or (0, None) when the generator does not
+    occur.  Through the exponent factor, repeated derivatives of a power
+    pick up falling-factorial multiplicities.
     """
-    parity = gens.parity(gen_id)
     hbar, factors = m
-    crossed = 0
-    for i, (g, e) in enumerate(factors):
-        if g == gen_id:
-            sign = -1 if (parity * crossed) % 2 else 1
-            coeff = Fraction(sign * e)
-            if e == 1:
-                rest = factors[:i] + factors[i + 1:]
-            else:
-                rest = factors[:i] + ((g, e - 1),) + factors[i + 1:]
-            return coeff, (hbar, rest)
-        crossed += gens.parity(g) * e
-    return Fraction(0), None
+    i, sign = _slot(gens, gen_id, factors)
+    if i == len(factors) or factors[i][0] != gen_id:
+        return 0, None
+    e = factors[i][1]
+    lowered = ((gen_id, e - 1),) if e > 1 else ()
+    return sign * e, (hbar, factors[:i] + lowered + factors[i + 1:])
 
 
 @dataclass(frozen=True)
@@ -346,30 +340,28 @@ def combinatorial_factor(gens: GeneratorSet, neg: Sequence[str],
 def apply_D_exact(counts: CurveCountTable,
                   x: AlgebraElement) -> AlgebraElement:
     """Full differential with no truncation, in one pass over the
-    compiled operators of ``counts``."""
+    compiled operators of ``counts``.
+
+    A derivative or a product by one generator sends a monomial to one
+    monomial times an integer, or to zero, so an operator does the same:
+    its steps (the derivatives, rightmost first, then the products) are
+    walked on the monomial, multiplying their integers into one, until
+    the first zero.
+    """
     gens = counts.gens
     out = AlgebraElement()
     for shift, pos, neg, weight in counts.operators:
+        steps = ([(derive_generator, gid) for gid in reversed(pos)]
+                 + [(multiply_generator, gid) for gid in reversed(neg)])
         for (hbar, factors), c in x.terms.items():
-            results: List[Tuple[Fraction, Monomial]] = [
-                (c * weight, (hbar + shift, factors))]
-            # rightmost derivative acts first
-            for gid in reversed(pos):
-                nxt: List[Tuple[Fraction, Monomial]] = []
-                for cf, mono in results:
-                    d, reduced = derive_generator(gens, gid, mono)
-                    if reduced is not None:
-                        nxt.append((cf * d, reduced))
-                results = nxt
-            for gid in reversed(neg):
-                nxt = []
-                for cf, mono in results:
-                    s, grown = multiply_generator(gens, gid, mono)
-                    if grown is not None:
-                        nxt.append((cf * s, grown))
-                results = nxt
-            for cf, mono in results:
-                out.add_term(mono, cf)
+            k, mono = 1, (hbar + shift, factors)
+            for step, gid in steps:
+                s, mono = step(gens, gid, mono)
+                if mono is None:
+                    break
+                k *= s
+            else:
+                out.add_term(mono, c * weight * k)
     return out
 
 
@@ -414,11 +406,7 @@ def check_square_zero(counts: CurveCountTable, trunc: Truncation):
     ``(True, None)`` or ``(False, witness_monomial)``.
     """
     gens = counts.gens
-    for gid in gens:
-        x = AlgebraElement.generator(gid)
-        if not apply_D_exact(counts, apply_D_exact(counts, x)).is_zero():
-            return False, monomial_gen(gid)
-    for m in basis_monomials(gens, trunc):
+    for m in [monomial_gen(g) for g in gens] + basis_monomials(gens, trunc):
         x = AlgebraElement({m: Fraction(1)})
         if not apply_D_exact(counts, apply_D_exact(counts, x)).is_zero():
             return False, m

@@ -200,6 +200,28 @@ def koszul_product(gens, *factors):
     return AlgebraElement({(hbar, word): Fraction((-1) ** inversions)})
 
 
+def koszul_derivative(gens, g, m):
+    """Reference left derivative by g: the factor e_g times
+    (-1)^(|g| sum_{h<g} |h| e_h), and m with the exponent of g lowered."""
+    hbar, word = m
+    exps = dict(word)
+    e_g = exps.get(g, 0)
+    if not e_g:
+        return AlgebraElement()
+    crossed = sum(gens.parity(h) * e for h, e in word if h < g)
+    exps[g] = e_g - 1
+    lowered = tuple((h, e) for h, e in sorted(exps.items()) if e)
+    sign = (-1) ** (gens.parity(g) * crossed)
+    return AlgebraElement({(hbar, lowered): Fraction(e_g * sign)})
+
+
+def as_element(result):
+    """The (coefficient, monomial) pair of a monomial operation as an
+    element."""
+    c, m = result
+    return AlgebraElement() if m is None else AlgebraElement({m: c})
+
+
 class TestAlgebraLaws:
     @settings(deadline=None, derandomize=True, max_examples=150)
     @given(st.data())
@@ -246,6 +268,29 @@ class TestAlgebraLaws:
         assert multiply_monomials(gens, monomial_gen(g), with_g) == (0, None)
         if any(gens.parity(h) == ODD for h, _ in m[1]):
             assert multiply_monomials(gens, m, m) == (0, None)
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(st.data())
+    def test_derivative_matches_the_reference(self, data):
+        gens = data.draw(generator_sets())
+        m = data.draw(monomials(gens))
+        g = data.draw(st.sampled_from(list(gens)))
+        assert as_element(derive_generator(gens, g, m)) == \
+            koszul_derivative(gens, g, m)
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(st.data())
+    def test_derivative_undoes_the_product(self, data):
+        gens = data.draw(generator_sets())
+        m = data.draw(monomials(gens))
+        g = data.draw(st.sampled_from(list(gens)))
+        s, grown = multiply_generator(gens, g, m)
+        if grown is None:
+            assert s == 0 and gens.parity(g) == ODD and g in dict(m[1])
+            return
+        d, back = derive_generator(gens, g, grown)
+        assert back == m
+        assert s * d == dict(m[1]).get(g, 0) + 1
 
 
 # entry shapes (positive ends, negative ends) with an odd number of ends

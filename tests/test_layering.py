@@ -1,14 +1,17 @@
-"""Structure guards: every import is used, the algebra is geometry-free
-and applies its differential in one pass over compiled operators, the
-word layer has one relator-segment scan, a ray is one periodic block,
-and the loop layer identifies crossings by one union-find."""
+"""Structure guards: every import is used, the algebra is geometry-free,
+applies its differential in one pass over compiled operators and signs
+by one integer Koszul rule, the word layer has one relator-segment
+scan, a ray is one periodic block, and the loop layer identifies
+crossings by one union-find."""
 
 import ast
 import inspect
 from pathlib import Path
 
 import sft_lab
-from sft_lab.algebra import basis_monomials
+from sft_lab.algebra import (ODD, EVEN, Generator, GeneratorSet,
+                             basis_monomials, derive_generator,
+                             multiply_generator)
 from sft_lab.words import BoundaryOrder, Ray
 
 GEOMETRY = {"indexcalc", "model", "enumerator", "cli"}
@@ -157,3 +160,19 @@ def test_algebra_applies_compiled_operators_in_one_pass():
                           "times_hbar", "orders", "monomial_times_hbar"}
     assert list(inspect.signature(basis_monomials).parameters) == [
         "gens", "trunc"]
+
+
+def test_algebra_signs_by_one_integer_rule():
+    # products and derivatives place a generator by the one _slot rule,
+    # and the monomial kernel builds no Fraction: signs and exponents are
+    # integers, and only the count weight is a Fraction
+    assert callers("algebra", "_slot") == {"multiply_generator",
+                                           "derive_generator"}
+    assert not callers("algebra", "Fraction") & {
+        "multiply_generator", "derive_generator", "multiply_monomials",
+        "apply_D_exact"}
+    gens = GeneratorSet([Generator("a", ODD), Generator("b", EVEN)])
+    m = (0, (("a", 1), ("b", 2)))
+    for gid in ("a", "b"):
+        assert type(multiply_generator(gens, gid, m)[0]) is int
+        assert type(derive_generator(gens, gid, m)[0]) is int
