@@ -15,8 +15,9 @@ Coefficients are exact ``fractions.Fraction`` values throughout, and
 the linear solver used for torsion certificates is sparse elimination
 over them.  Cancellations of opposite counts are therefore exact.
 Koszul signs and exponents are plain integers: ``_slot`` is the one
-rule that places a generator among a monomial's sorted factors and
-signs the move, and products and derivatives both go through it.
+rule that signs the move of a generator into its place among a
+monomial's sorted factors, and products and derivatives both go
+through it once they have found that their result is not zero.
 """
 
 from __future__ import annotations
@@ -184,14 +185,13 @@ class AlgebraElement:
 
 
 def _slot(gens: GeneratorSet, gen_id: str,
-          factors: Tuple[Tuple[str, int], ...]) -> Tuple[int, int]:
-    """Where ``gen_id`` belongs in the sorted ``factors``, and the Koszul
-    sign of moving it past the factors before that index."""
-    i = bisect_left(factors, (gen_id,))
+          factors: Tuple[Tuple[str, int], ...], i: int) -> int:
+    """The Koszul sign of moving ``gen_id`` into slot ``i`` of the sorted
+    ``factors``, past the factors before it."""
     if gens.parity(gen_id) == EVEN:
-        return i, 1
+        return 1
     crossed = sum(gens.parity(g) * e for g, e in factors[:i])
-    return i, -1 if crossed % 2 else 1
+    return -1 if crossed % 2 else 1
 
 
 def multiply_generator(gens: GeneratorSet, gen_id: str,
@@ -199,17 +199,18 @@ def multiply_generator(gens: GeneratorSet, gen_id: str,
     """Left-multiply a monomial by a generator, with the Koszul sign.
 
     Returns (sign, monomial) or (0, None) when an odd generator squares
-    to zero.
+    to zero; that is found before any sign is computed.
     """
     hbar, factors = m
-    i, sign = _slot(gens, gen_id, factors)
+    i = bisect_left(factors, (gen_id,))
     if i < len(factors) and factors[i][0] == gen_id:
         if gens.parity(gen_id) == ODD:
             return 0, None
         e, rest = factors[i][1], factors[i + 1:]
     else:
         e, rest = 0, factors[i:]
-    return sign, (hbar, factors[:i] + ((gen_id, e + 1),) + rest)
+    return (_slot(gens, gen_id, factors, i),
+            (hbar, factors[:i] + ((gen_id, e + 1),) + rest))
 
 
 def multiply_monomials(gens: GeneratorSet, a: Monomial,
@@ -247,16 +248,18 @@ def derive_generator(gens: GeneratorSet, gen_id: str,
 
     Returns (sign times the generator's exponent, the monomial with that
     exponent lowered by one), or (0, None) when the generator does not
-    occur.  Through the exponent factor, repeated derivatives of a power
-    pick up falling-factorial multiplicities.
+    occur, which is found before any sign is computed.  Through the
+    exponent factor, repeated derivatives of a power pick up
+    falling-factorial multiplicities.
     """
     hbar, factors = m
-    i, sign = _slot(gens, gen_id, factors)
+    i = bisect_left(factors, (gen_id,))
     if i == len(factors) or factors[i][0] != gen_id:
         return 0, None
     e = factors[i][1]
     lowered = ((gen_id, e - 1),) if e > 1 else ()
-    return sign * e, (hbar, factors[:i] + lowered + factors[i + 1:])
+    return (_slot(gens, gen_id, factors, i) * e,
+            (hbar, factors[:i] + lowered + factors[i + 1:]))
 
 
 @dataclass(frozen=True)

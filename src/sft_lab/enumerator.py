@@ -8,7 +8,9 @@ Configurations are enumerated as shapes: orbit data is recorded by
 type (surface critical point, base critical point, covering
 multiplicity) and same-type critical points are not distinguished;
 non-cylindrical leaves carry a twin flavor bit, and enumeration emits
-the canonical flavor of each twin family.
+the canonical flavor of each twin family.  A family with such a leaf
+cancels against its twin, the flavor flip; every other family is
+unpaired (``pair_cancellation``).
 
 Component menus implement the structural facts of the model:
 
@@ -37,8 +39,11 @@ so the components of a configuration with genus + ends <= 2 have
 chi = 2 - 2g - #ends in {0, -1}, at most one of them -1, and the
 plane case (genus 0, one end) is empty.  The menu holds only such
 components, and a configuration has one bottom component and at most
-two per level; its index bounds the number of levels (the proofs are
-in ``_search``).
+two per level; its index bounds the number of levels.  Every
+configuration the search builds is connected and has genus + ends <= 2
+(the proofs are in ``_search``); on every document entry
+``check_constraints`` audits connectivity again and
+``Building.case_label`` the genus and end count.
 
 The total index of a configuration is one, recomputed through the
 index calculus from the orbit data, never trusted from construction.
@@ -57,8 +62,8 @@ from .covers import BranchProfile, _fiber_partitions
 from .errors import ConfigurationError, ConsistencyError, NoTwinError
 from .indexcalc import (BASE_MAX, BASE_MIN, BASE_SADDLE, SIGMA_HYP_LEFT,
                         SIGMA_HYP_RIGHT, SIGMA_MAX, SIGMA_MIN, OrbitType,
-                        PunctureProfile, fredholm_index_from_cz, normal_index,
-                        obstruction_rank, regularity_transfer)
+                        PunctureProfile, fredholm_index_from_cz, kernel_bound,
+                        normal_index, obstruction_rank, regularity_transfer)
 from .model import (FLOW_LEFT, FLOW_RIGHT, PAGE_HYP_MIN, PAGE_MAX_HYP,
                     PAGE_MAX_MIN, Leaf, ModelConfig)
 
@@ -392,26 +397,6 @@ def _level_matchings(lower_av: Sequence[Dict[OrbitType, int]],
         yield tuple(e for group in combo for e in group)
 
 
-def _connected(levels, edges) -> bool:
-    ids = {}
-    for k, level in enumerate(levels):
-        for i, _ in enumerate(level):
-            ids[(k, i)] = (k, i)
-
-    def find(x):
-        while ids[x] != x:
-            ids[x] = ids[ids[x]]
-            x = ids[x]
-        return x
-
-    for (k, i, j, _t, _m) in edges:
-        a, b = find((k, i)), find((k + 1, j))
-        if a != b:
-            ids[a] = b
-    roots = {find(x) for x in ids}
-    return len(roots) <= 1
-
-
 def _canonical(building: Building) -> Building:
     """Least representative over permutations of identical components."""
     best = None
@@ -455,37 +440,48 @@ def _search(cfg: ModelConfig) -> Dict[Tuple[int, int], Tuple[Building, ...]]:
     sorting positions sorts components; their end counts, index and
     positive action are computed once here.
 
-    Euler characteristic bounds the search.  Take a configuration that
-    ``emit`` keeps: V components c with genus g_c and n_c ends, E matched
-    strands, r top ends and genus g = sum g_c + E - V + 1.  Every end is
-    matched except the top ones, so sum n_c = 2E + r, and with
-    chi_c = 2 - 2 g_c - n_c
+    Euler characteristic bounds the search.  Write V for the number of
+    components c of a configuration, g_c and n_c for their genus and
+    end count, chi_c = 2 - 2 g_c - n_c, E for the matched strands and r
+    for the top ends.  No component is a plane, so every -chi_c >= 0,
+    and ``extend`` stacks a level only while sum (-chi_c) <= 1, since
+    later components can only raise the sum.  So every component has
+    chi_c in {0, -1} (the menu builds only those, ``SHAPES``), and at
+    most one has -1.
 
-        sum (-chi_c) = 2g - 2 + r.
+    Every configuration ``extend`` builds is connected: the bottom is
+    one component, and every upper component has a negative end, which
+    is matched to a positive end of the level below.  So its genus
+    g = sum g_c + E - V + 1, the genus of a connected curve, is >= 0,
+    and as every end is matched except the top ones, sum n_c = 2E + r
+    and
 
-    ``emit`` keeps g + r <= 2, and r >= 1 because every component has a
-    positive end, so sum (-chi_c) <= 1.  No component is a plane, so
-    every -chi_c >= 0.  Hence every component has chi_c in {0, -1} (the
-    menu builds only those, ``SHAPES``), at most one has -1, and the
-    plane case (g, r) = (0, 1), which needs sum (-chi_c) = -1, is empty.
+        sum (-chi_c) = 2g - 2 + r <= 1.
+
+    Every component has a positive end, so r >= 1, hence g <= 1, and
+    g = 1 forces r = 1.  ``emit`` keeps r <= 2, so every kept
+    configuration has g + r <= 2, and the plane case (g, r) = (0, 1),
+    which needs sum (-chi_c) = -1, is empty.  Conversely a connected
+    configuration with g + r <= 2 has sum (-chi_c) <= 1, and by the
+    next argument one bottom component, so the search misses none.
+
     Above the bottom every component has a negative end, so it is a
     cylinder with one end of each sign or the one chi = -1 pair of
     pants; the number of strands crossing between two levels changes
     only at the pants.  With no chi = -1 component r = 2; with one,
     r = 1 and the count changes by at most one.  Either way at most 2
-    strands cross any level, so no level above the bottom has more
-    than 2 components.  A bottom component has no negative end and at
-    least one positive end, and the only one-ended shape has chi = -1,
-    so 2 bottom components would need at least 3 strands: the bottom
-    is one component.
+    strands cross any level, so no level above the bottom has more than
+    2 components.  A bottom component has no negative end and at least
+    one positive end, and the only one-ended shape has chi = -1, so 2
+    bottom components would need at least 3 strands: the bottom is one
+    component.
 
     The index bounds the levels.  A level of trivial cylinders only is
-    unstable, so ``extend`` never builds one, and as every later
-    component has chi <= 0 it cuts a partial configuration with
-    sum (-chi_c) >= 2.  Two menu facts are checked, raising
-    ``ConsistencyError``: an upper component with chi = 0 (a cylinder)
-    has index >= 0, and >= 1 unless it is trivial.  Let s be minus the
-    least index of a chi = -1 upper component, or 0 if that is larger.
+    unstable, so ``extend`` never builds one.  Two menu facts are
+    checked, raising ``ConsistencyError``: an upper component with
+    chi = 0 (a cylinder) has index >= 0, and >= 1 unless it is trivial.
+    Let s be minus the least index of a chi = -1 upper component, or 0
+    if that is larger.
     Every later component has index >= 0 except the one chi = -1
     component, whose index is >= -s, so a partial configuration of index
     above 1 once it holds that component, or above 1 + s before, never
@@ -524,15 +520,7 @@ def _search(cfg: ModelConfig) -> Dict[Tuple[int, int], Tuple[Building, ...]]:
     def emit(levels, edges, total_index):
         if total_index != 1:
             return
-        ends = sum(len(menu[i].pos) for i in levels[-1])
-        if ends > 2:
-            return               # a connected configuration has genus >= 0
-        if not _connected(levels, edges):
-            return
-        genus = (sum(menu[i].genus for lv in levels for i in lv)
-                 + sum(mult for *_ignored, mult in edges)
-                 - sum(len(lv) for lv in levels) + 1)
-        if genus + ends > 2:
+        if sum(len(menu[i].pos) for i in levels[-1]) > 2:
             return
         if sum(action[i] for i in levels[-1]) > cfg.action_threshold:
             return
@@ -540,10 +528,11 @@ def _search(cfg: ModelConfig) -> Dict[Tuple[int, int], Tuple[Building, ...]]:
         if math.gcd(*(o.cover for lv in levels for i in lv
                       for o in menu[i].pos + menu[i].neg)) > 1:
             return
-        b = Building(levels=tuple(tuple(menu[i] for i in lv) for lv in levels),
-                     edges=tuple(edges))
-        cb = _canonical(b)
-        results.setdefault((genus, ends), {}).setdefault(cb.key(), cb)
+        b = _canonical(Building(
+            levels=tuple(tuple(menu[i] for i in lv) for lv in levels),
+            edges=tuple(edges)))
+        results.setdefault((b.arithmetic_genus, b.positive_end_count),
+                           {}).setdefault(b.key(), b)
 
     def level_choices(need: Dict[OrbitType, int]):
         """Multisets of upper components consuming exactly ``need``.
@@ -604,6 +593,26 @@ def _sort_key(b: Building):
 # audits, classification, pairing
 
 
+def _connected(levels, edges) -> bool:
+    ids = {}
+    for k, level in enumerate(levels):
+        for i, _ in enumerate(level):
+            ids[(k, i)] = (k, i)
+
+    def find(x):
+        while ids[x] != x:
+            ids[x] = ids[ids[x]]
+            x = ids[x]
+        return x
+
+    for (k, i, j, _t, _m) in edges:
+        a, b = find((k, i)), find((k + 1, j))
+        if a != b:
+            ids[a] = b
+    roots = {find(x) for x in ids}
+    return len(roots) <= 1
+
+
 def check_constraints(cfg: ModelConfig, b: Building) -> Tuple[bool, str]:
     """Re-audit the structural facts on a finished configuration."""
     for c in b.components:
@@ -623,6 +632,8 @@ def check_constraints(cfg: ModelConfig, b: Building) -> Tuple[bool, str]:
             return False, "main-level component with a negative end"
     if b.total_index != 1:
         return False, "total index is not one"
+    if not _connected(b.levels, b.edges):
+        return False, "configuration is not connected"
     for level in b.levels:
         if all(c.trivial for c in level):
             return False, "level of trivial cylinders only"
@@ -632,7 +643,6 @@ def check_constraints(cfg: ModelConfig, b: Building) -> Tuple[bool, str]:
 @dataclass(frozen=True)
 class ObstructionAudit:
     component: str
-    leaf_rank: int
     normal_index: int
     dim_ker: int
     rank: int
@@ -642,11 +652,23 @@ class ObstructionAudit:
 def obstruction_data(b: Building) -> List[ObstructionAudit]:
     """Regularity and obstruction-rank audit per component.
 
-    Trivial cylinders are regular and skipped.  A component regular in
-    its leaf transfers to the ambient model when the genus-zero
-    puncture criterion holds, or when its leaf is cylindrical (the
-    normal operator is then injective and of non-positive index).
-    Otherwise the component is not-too-bad with the stated rank.
+    Trivial cylinders are regular and skipped.  Every other component
+    is regular in its leaf, and its ambient obstruction rank is
+    ``obstruction_rank(0, ind_N, dim ker N)`` for its normal operator N,
+    a real Cauchy-Riemann operator on a line bundle.  Deformations
+    through leaves lie in ker N, so the leaf constant
+    ``Leaf.dim_ker_normal`` is a lower bound of dim ker N.
+
+    When ``regularity_transfer`` holds, N is onto: its cokernel is 0,
+    so the Fredholm identity dim ker N - dim coker N = ind_N gives
+    dim ker N = ind_N and rank 0.  Two bounds audit this, raising
+    ``ConsistencyError``: the leaf constant is at most ind_N, and ind_N
+    is at most ``kernel_bound(c_N, #Gamma_even)``, the kernel bound of
+    a line bundle operator with 2 c_N = ind_N - 2 + 2g + #Gamma_even
+    (Wendl, "Automatic transversality and orbifolds of punctured
+    holomorphic curves in dimension four", Comment. Math. Helv. 2010).
+    Otherwise dim ker N is taken to be the leaf constant, and a
+    component of positive rank is not-too-bad.
     """
     out = []
     for c in b.components:
@@ -655,20 +677,22 @@ def obstruction_data(b: Building) -> List[ObstructionAudit]:
         profile = c.profile
         ind_n = normal_index(profile)
         dim_ker = c.leaf.dim_ker_normal
-        transfers = regularity_transfer(profile, True)
-        if not transfers and c.leaf.kind == "cyl" and ind_n <= 0:
-            transfers = True     # injective normal operator, zero cokernel
-        if transfers and ind_n == 0 and dim_ker == 0:
-            out.append(ObstructionAudit(c.label(), 0, ind_n, dim_ker, 0,
-                                        True))
-            continue
+        if regularity_transfer(profile, True):
+            gamma_even = profile.even_punctures
+            bound = kernel_bound(
+                (ind_n - 2 + 2 * profile.genus + gamma_even) // 2, gamma_even)
+            if not dim_ker <= ind_n <= bound:
+                raise ConsistencyError(
+                    "component %s: normal index %d outside [%d, %d]"
+                    % (c.label(), ind_n, dim_ker, bound))
+            dim_ker = ind_n      # N is onto
         try:
             rank = obstruction_rank(0, ind_n, dim_ker)
         except ConfigurationError as exc:
             # the profile comes from the enumerator, not from the user
             raise ConsistencyError("component %s: %s"
                                    % (c.label(), exc)) from exc
-        out.append(ObstructionAudit(c.label(), 0, ind_n, dim_ker, rank,
+        out.append(ObstructionAudit(c.label(), ind_n, dim_ker, rank,
                                     rank == 0))
     return out
 
@@ -691,45 +715,20 @@ class Pairing:
     unpaired: Tuple[Building, ...]
 
 
-def pair_cancellation(buildings: Sequence[Building],
-                      convention: str = "twins-identified") -> Pairing:
+def pair_cancellation(buildings: Sequence[Building]) -> Pairing:
     """Partition configurations into cancelling twin pairs and leftovers.
 
-    Under the default convention each enumerated configuration stands
-    for a twin family and its cancelling partner is the flavor flip,
-    which is a distinct concrete configuration not separately listed.
-    Under "twins-distinct" the input is expected to contain both
-    flavors and partners are matched inside the list.
+    Each configuration stands for its twin family: a twistable one
+    cancels against ``twin(b)``, its flavor flip, and every other one is
+    unpaired.
     """
-    if convention not in ("twins-identified", "twins-distinct"):
-        raise ConfigurationError("unknown pairing convention %r"
-                                 % (convention,))
     pairs = []
     unpaired = []
-    if convention == "twins-identified":
-        for b in buildings:
-            if b.twistable:
-                pairs.append((b, twin(b)))
-            else:
-                unpaired.append(b)
-        return Pairing(tuple(pairs), tuple(unpaired))
-    by_key = {b.key(): b for b in buildings}
-    done = set()
     for b in buildings:
-        if b.key() in done:
-            continue
-        if not b.twistable:
+        if b.twistable:
+            pairs.append((b, twin(b)))
+        else:
             unpaired.append(b)
-            done.add(b.key())
-            continue
-        partner = twin(b)
-        got = by_key.get(partner.key())
-        if got is None:
-            raise ConfigurationError(
-                "twin of a listed configuration is missing from the input")
-        pairs.append((b, got))
-        done.add(b.key())
-        done.add(got.key())
     return Pairing(tuple(pairs), tuple(unpaired))
 
 
@@ -800,11 +799,16 @@ def building_to_dict(cfg: ModelConfig, b: Building,
 
 def classification_document(cfg: ModelConfig, genus: int, ends: int,
                             convention: str = "twins-identified") -> Dict:
-    listed = enumerate_buildings(cfg, genus, ends)
+    """The classification of one case.  Pairing is of the enumerated twin
+    families; "twins-distinct" lists both flavors of each family."""
+    if convention not in ("twins-identified", "twins-distinct"):
+        raise ConfigurationError("unknown pairing convention %r"
+                                 % (convention,))
+    families = enumerate_buildings(cfg, genus, ends)
+    pairing = pair_cancellation(families)
+    listed = families
     if convention == "twins-distinct":
-        listed = expand_flavors(listed)
-        listed = sorted(listed, key=_sort_key)
-    pairing = pair_cancellation(listed, convention)
+        listed = sorted(expand_flavors(families), key=_sort_key)
     entries = [building_to_dict(cfg, b, ident=i)
                for i, b in enumerate(listed)]
     return {

@@ -239,8 +239,12 @@ def kernel_bound(c1N: int, gamma_even: int) -> int:
 def obstruction_rank(rank_in_leaf: int, indN: int, dim_ker_N: int) -> int:
     """Rank of the ambient obstruction bundle of a not-too-bad curve.
 
-    ``dim_ker_N`` is dictated by the hypersurface type: 0 cylindrical,
-    1 over an index-1 flow line, 2 over an index-2 flow line.
+    The rank is rank_in_leaf + dim coker N, and the Fredholm identity
+    dim ker N - dim coker N = indN of the normal operator N gives
+    dim coker N = dim_ker_N - indN.  ``dim_ker_N`` is at least the
+    index drop of the curve's leaf (0 cylindrical, 1 over an index-1
+    flow line, 2 over an index-2 flow line), and equals indN when N is
+    onto; a rank below 0 means the inputs contradict each other.
     """
     if dim_ker_N not in (0, 1, 2):
         raise ConfigurationError("dim_ker_N must be 0, 1 or 2")

@@ -39,6 +39,8 @@ def str_to_fraction(text: str) -> Fraction:
 
 
 def _normalize(obj: Any) -> Any:
+    if isinstance(obj, (str, int)):
+        return obj              # most leaves; skips the Fraction ABC check
     if isinstance(obj, Fraction):
         return fraction_to_str(obj)
     if isinstance(obj, dict):

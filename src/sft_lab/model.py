@@ -31,8 +31,10 @@ PAGE_MAX_MIN = "max:min"
 PAGE_MAX_HYP = "max:hyp-"
 PAGE_HYP_MIN = "hyp+:min"
 
-# index drop of the flow segment = dimension of the normal kernel of a
-# curve confined to the leaf (cylindrical leaves have none)
+# index drop of the flow segment = dimension of the deformations of a
+# curve confined to the leaf through nearby leaves (cylindrical leaves
+# have none); these lie in the kernel of its normal operator, so this
+# is only a lower bound of that kernel's dimension
 FLOW_INDEX = {FLOW_LEFT: 1, FLOW_RIGHT: 1,
               PAGE_MAX_MIN: 2, PAGE_MAX_HYP: 1, PAGE_HYP_MIN: 1}
 

@@ -388,6 +388,24 @@ class TestMonomialOps:
         c, reduced = derive_generator(GENS, "c", m)
         assert c == -1 and reduced == monomial_gen("a")
 
+    def test_zero_results_sum_no_parity(self, monkeypatch):
+        # an absent generator, or an odd one already present, gives zero
+        # before any factor is signed: at most the generator's own parity
+        # is read
+        lookups = []
+        parity = GeneratorSet.parity
+
+        def counting(self, gen_id):
+            lookups.append(gen_id)
+            return parity(self, gen_id)
+
+        monkeypatch.setattr(GeneratorSet, "parity", counting)
+        m = (0, (("a", 1), ("b", 2), ("c", 1)))
+        assert derive_generator(GENS, "d", m) == (0, None)
+        assert lookups == []
+        assert multiply_generator(GENS, "c", m) == (0, None)
+        assert lookups == ["c"]
+
 
 class TestCombinatorialFactor:
     def test_single_positive(self):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from sft_lab import enumerator
 from sft_lab.cli import main
 from sft_lab.jsonio import (canonical_dumps, digest, read_document,
                             str_to_fraction, write_document)
@@ -27,9 +28,20 @@ def write_counts(path, rows, generators=None):
 
 
 class TestEnumerateCommand:
-    def test_negative_obstruction_rank_exits_three(self, capsys):
-        # known defect: the (1,1) document hits a negative rank; the
-        # inputs come from the enumerator, so it is not invalid input
+    def test_torus_document_pinned(self, capsys):
+        # the whole stdout, manifest included, of the (1,1) case: where
+        # regularity transfers the obstruction rank is 0
+        code, out = run(capsys, "enumerate", "--genus", "1", "--ends", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "57fec94e0102e4df49918de9b1b54e01"
+            "c45cbf31cec329d453d3d53dcf24fc20")
+
+    def test_component_outside_the_kernel_bound_exits_three(self, capsys,
+                                                            monkeypatch):
+        # the inputs come from the enumerator, so a component that breaks
+        # the kernel bound is a consistency failure, not invalid input
+        monkeypatch.setattr(enumerator, "kernel_bound", lambda c, g: 0)
         code = main(["enumerate", "--genus", "1", "--ends", "1"])
         err = capsys.readouterr().err
         assert code == 3

@@ -6,14 +6,16 @@ import pytest
 
 from sft_lab import enumerator
 from sft_lab.enumerator import (Building, CASE_CYLINDER, CASE_TORUS,
-                                check_constraints, classification_document,
-                                component_menu, enumerate_buildings,
-                                expand_flavors, is_sporadic,
+                                Component, check_constraints,
+                                classification_document, component_menu,
+                                enumerate_buildings, is_sporadic,
                                 model_count_table_entries, obstruction_data,
                                 pair_cancellation, sporadic_signature, twin)
 from sft_lab.errors import ConfigurationError, ConsistencyError, NoTwinError
+from sft_lab.indexcalc import (SIGMA_HYP_LEFT, SIGMA_MIN, OrbitType,
+                               normal_index, regularity_transfer)
 from sft_lab.jsonio import canonical_dumps
-from sft_lab.model import paper_model
+from sft_lab.model import PAGE_MAX_MIN, Leaf, paper_model
 
 CFG = paper_model()
 CASE1 = enumerate_buildings(CFG, 0, 1)
@@ -80,6 +82,27 @@ class TestAudits:
             assert len(mains) == 1
             assert mains[0].rank == 1 and mains[0].normal_index == 0
 
+    def test_transfer_gives_rank_zero(self):
+        # regularity transfers, so N is onto and dim ker N = ind_N, above
+        # the index drop 1 of the leaf
+        audits = {a.component: a for b in CASE3 for a in obstruction_data(b)}
+        for label in ("max;s+max;s [g0 page(max:hyp-)]",
+                      "min+min [g0 page(hyp+:min)]"):
+            a = audits[label]
+            assert (a.normal_index, a.dim_ker, a.rank, a.regular) \
+                == (2, 2, 0, True)
+
+    def test_leaf_constant_above_normal_index_raises(self):
+        # a curve in a leaf of index drop 2 whose normal index is 1, and
+        # whose regularity would transfer: dim ker N cannot be both
+        comp = Component(leaf=Leaf("page", PAGE_MAX_MIN), genus=0,
+                         pos=(OrbitType(SIGMA_MIN),),
+                         neg=(OrbitType(SIGMA_HYP_LEFT),))
+        assert normal_index(comp.profile) == 1
+        assert regularity_transfer(comp.profile, True)
+        with pytest.raises(ConsistencyError, match="outside"):
+            obstruction_data(Building(levels=((comp,),), edges=()))
+
     def test_genus_audit(self):
         assert all(b.arithmetic_genus == 0 for b in CASE2)
         assert all(b.arithmetic_genus == 1 for b in CASE3)
@@ -138,13 +161,21 @@ class TestPairing:
         assert pairing.pairs == () and len(pairing.unpaired) == 1
 
     def test_twins_distinct_convention(self):
-        expanded = expand_flavors(CASE2)
-        pairing = pair_cancellation(expanded, convention="twins-distinct")
-        assert len(pairing.pairs) == 6 and pairing.unpaired == ()
+        # both flavors are listed, and the families are paired
+        doc = classification_document(CFG, 0, 2, "twins-distinct")
+        assert doc["summary"] == {"configurations": 12, "pairs": 6,
+                                  "unpaired": 0, "sporadic": 0}
+        assert _sha256(canonical_dumps(doc)) == (
+            "dfbc56897fd9bc1a82e9e82777752c93"
+            "974a281679cbcb2634bc3761558fca4f")
+        assert _sha256(canonical_dumps(classification_document(
+            CFG, 0, 1, "twins-distinct"))) == (
+            "b3b4351daab2b9a6bae2ac0216a5fff1"
+            "8ee4d565f5e5f76da18b0c83fa840223")
 
-    def test_twins_distinct_requires_closure(self):
-        with pytest.raises(ConfigurationError):
-            pair_cancellation(CASE2, convention="twins-distinct")
+    def test_unknown_convention_raises(self):
+        with pytest.raises(ConfigurationError, match="unknown pairing"):
+            classification_document(CFG, 0, 2, "twins-merged")
 
 
 class TestSporadicSignature:
@@ -196,6 +227,18 @@ class TestDeterminism:
                              "87543c86c804ecf9d33a93a16085dd27")
         assert _keys_digest(CASE3) == ("4c06f98747941c7f4d3e5c767a14a6b3"
                                        "cc81eee1a283bfb4ac5c328fda909725")
+
+    def test_torus_documents_pinned(self):
+        doc = classification_document(CFG, 1, 1)
+        assert doc["summary"] == {"configurations": 29, "pairs": 28,
+                                  "unpaired": 1, "sporadic": 1}
+        assert _sha256(canonical_dumps(doc)) == (
+            "06fd1501a1eb2c964b33d2350c9c85fe"
+            "ba7a48ca9c37532b0f4099d9fe315e6b")
+        assert _sha256(canonical_dumps(classification_document(
+            CFG, 1, 1, "twins-distinct"))) == (
+            "c7437736bf8a6400c0136bbba83a7101"
+            "878d2b12783b2bda34249b1200cc26f1")
 
     @pytest.mark.parametrize("overrides, expected", [
         (dict(max_levels=2), [

@@ -1,10 +1,12 @@
 """Structure guards: every import is used, the algebra is geometry-free,
 applies its differential in one pass over compiled operators and signs
 by one integer Koszul rule, the word layer has one relator-segment
-scan, a ray is one periodic block, and the loop layer identifies
-crossings by one union-find."""
+scan, a ray is one periodic block, the loop layer identifies crossings
+by one union-find, and the building search pairs by the twin map alone
+and audits connectivity once per finished configuration."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import sft_lab
 from sft_lab.algebra import (ODD, EVEN, Generator, GeneratorSet,
                              basis_monomials, derive_generator,
                              multiply_generator)
+from sft_lab.enumerator import ObstructionAudit, pair_cancellation
 from sft_lab.words import BoundaryOrder, Ray
 
 GEOMETRY = {"indexcalc", "model", "enumerator", "cli"}
@@ -176,3 +179,22 @@ def test_algebra_signs_by_one_integer_rule():
     for gid in ("a", "b"):
         assert type(multiply_generator(gens, gid, m)[0]) is int
         assert type(derive_generator(gens, gid, m)[0]) is int
+
+
+
+def test_connectivity_is_audited_once_per_entry():
+    # every configuration the search builds is connected, so only the
+    # audit of a finished configuration tests it
+    assert callers("enumerator", "_connected") == {"check_constraints"}
+
+
+def test_buildings_pair_by_the_twin_map_alone():
+    # no convention and no in-list partner search
+    assert list(inspect.signature(pair_cancellation).parameters) == [
+        "buildings"]
+
+
+def test_obstruction_audit_has_no_leaf_rank():
+    # the rank in the leaf is 0 for every audited component
+    assert "leaf_rank" not in {f.name for f in
+                               dataclasses.fields(ObstructionAudit)}
